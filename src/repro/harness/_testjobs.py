@@ -55,3 +55,7 @@ def hang_then_ok(state_path: str, seconds: float = 60.0,
     if attempt <= 1:
         time.sleep(seconds)
     return {"value": value, "attempt": attempt}
+
+
+def exit_now(code: int = 0) -> dict[str, Any]:
+    os._exit(code)  # a bare worker exit: no artifact, no traceback

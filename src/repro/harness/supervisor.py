@@ -3,34 +3,37 @@
 One :class:`Supervisor` drives one *run directory*::
 
     <run-dir>/
-      journal.jsonl        write-ahead journal (fsynced per transition)
-      artifacts/<job>.json atomically-written job results
-      artifacts/<job>.error last traceback of a failed attempt
+      journal.jsonl              write-ahead journal (fsynced per transition)
+      artifacts/<job>.json       atomically-written job results
+      artifacts/<job>.json.error last traceback of a failed worker attempt
 
 Jobs run in spawn-context :mod:`multiprocessing` workers (a hung or
 crashing experiment is killed on its deadline without taking down the
 supervisor) or, with ``isolate=False``, inline in this process — zero
 process overhead for cheap jobs, at the price of timeout enforcement.
+:mod:`repro.harness.attempt` runs every attempt; this module schedules
+them (DAG order, ``parallel`` slots, retry backoff).
 
 Every state transition is journaled *before* the supervisor acts on it,
 and artifacts are written atomically by the worker, so a crash at any
 instant — including ``SIGKILL``, which no handler can see — leaves a
 run directory that ``resume=True`` can pick up: completed jobs whose
 artifact bytes still hash to the journaled SHA-256 are skipped, and
-only the rest re-run.
+only the rest re-run.  Resume never reads the ``.error`` sidecars.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextlib
 import os
 import signal
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import SerializationError
+from repro.harness import attempt
 from repro.harness.job import (
     SATISFIED_STATES,
     TERMINAL_STATES,
@@ -40,19 +43,9 @@ from repro.harness.job import (
     validate_dag,
 )
 from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
-from repro.harness.worker import (
-    read_artifact,
-    run_job_inline,
-    worker_main,
-    write_artifact,
-)
+from repro.harness.worker import read_artifact
 from repro.ioutil import sha256_file
 from repro.telemetry.tracecontext import TraceContext, default_context
-
-POLL_INTERVAL_S = 0.02
-
-#: Sentinel distinguishing "no prefetched payload" from a falsy payload.
-_NO_PREFETCH = object()
 
 
 @dataclass(frozen=True)
@@ -149,16 +142,6 @@ class HarnessResult:
         }
 
 
-class _Running:
-    """Bookkeeping for one in-flight worker process."""
-
-    def __init__(self, proc: multiprocessing.process.BaseProcess,
-                 started: float, deadline: float | None) -> None:
-        self.proc = proc
-        self.started = started
-        self.deadline = deadline
-
-
 class Supervisor:
     def __init__(
         self,
@@ -186,7 +169,6 @@ class Supervisor:
         self.cache = cache
         self.prefetch = prefetch
         self._prefetched: dict[str, Any] = {}
-        self._ctx = multiprocessing.get_context("spawn")
         # Trace root for this run: the telemetry's context when enabled,
         # else the ambient (env-propagated or fixed) one.  Per-job child
         # contexts derive from it by name alone, so serial and parallel
@@ -204,9 +186,6 @@ class Supervisor:
 
     def artifact_path(self, name: str) -> str:
         return os.path.join(self.artifact_dir, f"{name}.json")
-
-    def error_path(self, name: str) -> str:
-        return os.path.join(self.artifact_dir, f"{name}.error")
 
     # -- tracing -------------------------------------------------------
 
@@ -226,40 +205,39 @@ class Supervisor:
         prior = (read_journal(journal_path)
                  if self.resume and os.path.exists(journal_path) else [])
 
-        outcomes = {s.name: JobOutcome(name=s.name) for s in self.specs}
-        started = time.perf_counter()
-        report = HarnessReport(jobs_total=len(self.specs))
+        outcomes = self._outcomes = {s.name: JobOutcome(name=s.name)
+                                     for s in self.specs}
+        self._ready_at = {s.name: 0.0 for s in self.specs}
+        self._run_started = time.perf_counter()
+        report = self._report = HarnessReport(jobs_total=len(self.specs))
 
-        old_handlers = self._install_signal_handlers()
-        try:
-            with Journal(journal_path) as journal:
-                journal.record(
-                    "run_start",
-                    jobs=[s.name for s in self.specs],
-                    parallel=self.parallel,
-                    resume=self.resume,
-                    isolate=self.isolate,
-                )
-                self._resume_pass(prior, outcomes, report, journal, started)
-                self._cache_pass(outcomes, report, journal, started)
-                self._prefetch_pass(outcomes)
-                self._schedule(outcomes, report, journal, started)
-                report.elapsed_s = time.perf_counter() - started
-                if self._stop_signal is not None:
-                    report.interrupted = True
-                    journal.record("run_interrupted", signal=self._stop_signal)
-                journal.record(
-                    "run_end",
-                    succeeded=report.succeeded,
-                    resumed=report.resumed,
-                    retries=report.retries,
-                    timeouts=report.timeouts,
-                    quarantined=report.quarantined,
-                    dep_skipped=report.dep_skipped,
-                    interrupted=report.interrupted,
-                )
-        finally:
-            self._restore_signal_handlers(old_handlers)
+        with self._stop_on_signals(), Journal(journal_path) as journal:
+            self._journal = journal
+            journal.record(
+                "run_start",
+                jobs=[s.name for s in self.specs],
+                parallel=self.parallel,
+                resume=self.resume,
+                isolate=self.isolate,
+            )
+            self._resume_pass(prior)
+            self._cache_pass()
+            self._prefetch_pass()
+            self._schedule()
+            report.elapsed_s = time.perf_counter() - self._run_started
+            if self._stop_signal is not None:
+                report.interrupted = True
+                journal.record("run_interrupted", signal=self._stop_signal)
+            journal.record(
+                "run_end",
+                succeeded=report.succeeded,
+                resumed=report.resumed,
+                retries=report.retries,
+                timeouts=report.timeouts,
+                quarantined=report.quarantined,
+                dep_skipped=report.dep_skipped,
+                interrupted=report.interrupted,
+            )
 
         report.states = {
             name: outcomes[name].state.value for name in self.spec_order
@@ -316,9 +294,20 @@ class Supervisor:
 
     # -- signal finalization -------------------------------------------
 
-    def _install_signal_handlers(self) -> dict[int, Any]:
+    @contextlib.contextmanager
+    def _stop_on_signals(self) -> Iterator[None]:
+        """Turn SIGINT/SIGTERM into a graceful stop while the run lasts.
+        The handler also writes a self-pipe in the scheduler's wait set: a
+        blocked ``connection.wait`` resumes after handlers (PEP 475)."""
+        self._wake_r, wake_w = os.pipe()
+        os.set_blocking(wake_w, False)
+
         def _note(signum: int, frame: object) -> None:
             self._stop_signal = signum
+            try:
+                os.write(wake_w, b"\0")
+            except OSError:
+                pass  # pipe full: the scheduler is awake already
 
         old: dict[int, Any] = {}
         for sig in (signal.SIGINT, signal.SIGTERM):
@@ -326,17 +315,17 @@ class Supervisor:
                 old[sig] = signal.signal(sig, _note)
             except ValueError:
                 pass  # not the main thread; rely on SIGKILL-grade safety
-        return old
-
-    def _restore_signal_handlers(self, old: dict[int, Any]) -> None:
-        for sig, handler in old.items():
-            signal.signal(sig, handler)
+        try:
+            yield
+        finally:
+            for sig, handler in old.items():
+                signal.signal(sig, handler)
+            os.close(self._wake_r)
+            os.close(wake_w)
 
     # -- resume --------------------------------------------------------
 
-    def _resume_pass(self, prior: list[dict[str, Any]],
-                     outcomes: dict[str, JobOutcome], report: HarnessReport,
-                     journal: Journal, run_started: float) -> None:
+    def _resume_pass(self, prior: list[dict[str, Any]]) -> None:
         """Skip jobs whose journaled success still verifies on disk."""
         last_success: dict[str, dict[str, Any]] = {}
         for rec in prior:
@@ -352,20 +341,18 @@ class Supervisor:
                 payload = read_artifact(path)
             except SerializationError:
                 continue
-            outcome = outcomes[name]
+            outcome = self._outcomes[name]
             outcome.state = JobState.SKIPPED_RESUMED
             outcome.payload = payload
             outcome.artifact_path = path
             outcome.artifact_sha256 = rec["sha256"]
-            report.resumed += 1
-            journal.record("job_skipped", job=name, reason="resumed")
-            self._emit_progress(outcomes, name, run_started)
+            self._report.resumed += 1
+            self._journal.record("job_skipped", job=name, reason="resumed")
+            self._emit_progress(name)
 
     # -- result cache --------------------------------------------------
 
-    def _cache_pass(self, outcomes: dict[str, JobOutcome],
-                    report: HarnessReport, journal: Journal,
-                    run_started: float) -> None:
+    def _cache_pass(self) -> None:
         """Serve still-pending keyed jobs from the result cache.
 
         Runs after the resume pass (a verified on-disk artifact wins —
@@ -377,7 +364,7 @@ class Supervisor:
         if self.cache is None:
             return
         for spec in self.specs:
-            outcome = outcomes[spec.name]
+            outcome = self._outcomes[spec.name]
             if spec.cache_key is None or outcome.state is not JobState.PENDING:
                 continue
             entry = self.cache.get(spec.cache_key)
@@ -385,14 +372,14 @@ class Supervisor:
                 continue
             outcome.state = JobState.SKIPPED_CACHED
             outcome.payload = entry["payload"]
-            report.cached += 1
-            journal.record("job_skipped", job=spec.name, reason="cache",
-                           cache_key=spec.cache_key)
-            self._emit_progress(outcomes, spec.name, run_started)
+            self._report.cached += 1
+            self._journal.record("job_skipped", job=spec.name, reason="cache",
+                                 cache_key=spec.cache_key)
+            self._emit_progress(spec.name)
 
     # -- prefetch ------------------------------------------------------
 
-    def _prefetch_pass(self, outcomes: dict[str, JobOutcome]) -> None:
+    def _prefetch_pass(self) -> None:
         """Precompute pending inline jobs' payloads in one batched call.
 
         Runs after resume and cache passes, so the hook only sees jobs
@@ -407,7 +394,7 @@ class Supervisor:
         if self.prefetch is None or self.isolate:
             return
         pending = [s for s in self.specs
-                   if outcomes[s.name].state is JobState.PENDING]
+                   if self._outcomes[s.name].state is JobState.PENDING]
         if not pending:
             return
         try:
@@ -417,272 +404,136 @@ class Supervisor:
 
     # -- scheduling ----------------------------------------------------
 
-    def _schedule(self, outcomes: dict[str, JobOutcome], report: HarnessReport,
-                  journal: Journal, run_started: float) -> None:
-        attempts: dict[str, int] = {s.name: 0 for s in self.specs}
-        ready_at: dict[str, float] = {s.name: 0.0 for s in self.specs}
-        running: dict[str, _Running] = {}
-
-        def unfinished() -> list[JobSpec]:
-            return [s for s in self.specs
-                    if outcomes[s.name].state not in TERMINAL_STATES]
-
-        while unfinished() and self._stop_signal is None:
-            self._skip_broken_dependents(outcomes, report, journal, run_started)
-            self._launch_ready(outcomes, attempts, ready_at, running,
-                               journal, report, run_started)
-            if not running and not unfinished():
-                break
-            if running:
-                time.sleep(POLL_INTERVAL_S)
-                self._poll_running(outcomes, attempts, ready_at, running,
-                                   journal, report, run_started)
-            elif unfinished():
-                # Everything launchable is backing off; sleep to the
-                # earliest retry slot instead of spinning.
-                pending = [ready_at[s.name] for s in unfinished()
-                           if outcomes[s.name].state is JobState.PENDING]
-                if pending:
-                    time.sleep(
-                        max(POLL_INTERVAL_S,
-                            min(pending) - time.monotonic())
-                    )
+    def _schedule(self) -> None:
+        running: dict[str, attempt.Attempt] = {}
+        while self._stop_signal is None and any(
+                o.state not in TERMINAL_STATES for o in self._outcomes.values()):
+            self._skip_broken_dependents()
+            self._launch_ready(running)
+            # Sleep until a worker exits, its timeout passes, a backed-off
+            # job's retry slot opens, or a signal writes the self-pipe.
+            now = time.monotonic()
+            retry_at = [at for name, at in self._ready_at.items()
+                        if at > now and name not in running]
+            if running or retry_at:
+                attempt.wait_any(running.values(), wakers=[self._wake_r],
+                                 until=min(retry_at, default=None))
+            for name, worker in list(running.items()):
+                result = worker.poll()
+                if result is not None:
+                    del running[name]
+                    self._finish_attempt(self.by_name[name], result)
 
         if self._stop_signal is not None:
-            for name, slot in running.items():
-                slot.proc.kill()
-                slot.proc.join()
-                outcomes[name].error = f"interrupted by signal {self._stop_signal}"
+            for name, worker in running.items():
+                worker.kill()
+                self._outcomes[name].error = (
+                    f"interrupted by signal {self._stop_signal}")
 
-    def _skip_broken_dependents(self, outcomes: dict[str, JobOutcome],
-                                report: HarnessReport, journal: Journal,
-                                run_started: float) -> None:
+    def _skip_broken_dependents(self) -> None:
         for spec in self.specs:
-            outcome = outcomes[spec.name]
+            outcome = self._outcomes[spec.name]
             if outcome.state is not JobState.PENDING:
                 continue
             broken = [
                 dep for dep in spec.depends_on
-                if outcomes[dep].state in TERMINAL_STATES
-                and outcomes[dep].state not in SATISFIED_STATES
+                if self._outcomes[dep].state in TERMINAL_STATES
+                and self._outcomes[dep].state not in SATISFIED_STATES
             ]
             if broken:
                 outcome.state = JobState.SKIPPED_DEPENDENCY
                 outcome.error = f"upstream failed: {', '.join(broken)}"
-                report.dep_skipped += 1
-                journal.record("job_skipped", job=spec.name,
-                               reason="dependency", upstream=broken)
-                self._emit_progress(outcomes, spec.name, run_started)
+                self._report.dep_skipped += 1
+                self._journal.record("job_skipped", job=spec.name,
+                                     reason="dependency", upstream=broken)
+                self._emit_progress(spec.name)
 
-    def _launch_ready(self, outcomes: dict[str, JobOutcome],
-                      attempts: dict[str, int], ready_at: dict[str, float],
-                      running: dict[str, _Running], journal: Journal,
-                      report: HarnessReport, run_started: float) -> None:
+    def _launch_ready(self, running: dict[str, attempt.Attempt]) -> None:
         for spec in self.specs:
             if self._stop_signal is not None:
                 return
             if len(running) >= self.parallel and self.isolate:
                 return
-            outcome = outcomes[spec.name]
+            outcome = self._outcomes[spec.name]
             if outcome.state is not JobState.PENDING or spec.name in running:
                 continue
-            if not all(outcomes[d].state in SATISFIED_STATES
+            if not all(self._outcomes[d].state in SATISFIED_STATES
                        for d in spec.depends_on):
                 continue
-            if time.monotonic() < ready_at[spec.name]:
+            if time.monotonic() < self._ready_at[spec.name]:
                 continue
-            attempts[spec.name] += 1
-            outcome.attempts = attempts[spec.name]
-            journal.record("job_start", job=spec.name,
-                           attempt=attempts[spec.name])
-            self._clear_error_file(spec.name)
+            outcome.attempts += 1
+            self._journal.record("job_start", job=spec.name,
+                                 attempt=outcome.attempts)
+            job = (spec.name, spec.target, spec.kwargs,
+                   self.artifact_path(spec.name))
+            traceparent = self.job_context(spec).to_traceparent()
             if self.isolate:
-                self._spawn(spec, running)
+                running[spec.name] = attempt.Attempt(
+                    *job, traceparent=traceparent, timeout_s=spec.timeout_s)
             else:
-                self._run_inline(spec, outcomes, attempts, ready_at,
-                                 journal, report, run_started)
-
-    def _clear_error_file(self, name: str) -> None:
-        try:
-            os.unlink(self.error_path(name))
-        except OSError:
-            pass
-
-    def _spawn(self, spec: JobSpec, running: dict[str, _Running]) -> None:
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(spec.name, spec.target, spec.kwargs,
-                  self.artifact_path(spec.name), self.error_path(spec.name),
-                  self.job_context(spec).to_traceparent()),
-            name=f"harness-{spec.name}",
-        )
-        # When the parent was launched as ``python -m repro.experiments.
-        # suite``, the spawn bootstrap re-runs that module as the child's
-        # main and runpy warns that it is already imported (the package
-        # __init__ imports it).  Benign, but one line of stderr per
-        # worker; silence exactly that warning in the child.
-        prev = os.environ.get("PYTHONWARNINGS")
-        squelch = "ignore::RuntimeWarning:runpy"
-        os.environ["PYTHONWARNINGS"] = f"{prev},{squelch}" if prev else squelch
-        try:
-            proc.start()
-        finally:
-            if prev is None:
-                del os.environ["PYTHONWARNINGS"]
-            else:
-                os.environ["PYTHONWARNINGS"] = prev
-        now = time.monotonic()
-        deadline = None if spec.timeout_s is None else now + spec.timeout_s
-        running[spec.name] = _Running(proc, now, deadline)
-
-    def _run_inline(self, spec: JobSpec, outcomes: dict[str, JobOutcome],
-                    attempts: dict[str, int], ready_at: dict[str, float],
-                    journal: Journal, report: HarnessReport,
-                    run_started: float) -> None:
-        started = time.monotonic()
-        try:
-            payload = self._prefetched.pop(spec.name, _NO_PREFETCH)
-            if payload is not _NO_PREFETCH:
-                write_artifact(self.artifact_path(spec.name), spec.name,
-                               spec.target, payload)
-            else:
-                payload = run_job_inline(
-                    spec.name, spec.target, spec.kwargs,
-                    self.artifact_path(spec.name),
-                    self.job_context(spec).to_traceparent())
-        except Exception as exc:  # noqa: BLE001 — quarantine, don't crash
-            self._attempt_failed(
-                spec, f"{type(exc).__name__}: {exc}", outcomes, attempts,
-                ready_at, journal, report, run_started,
-                elapsed=time.monotonic() - started,
-            )
-            return
-        self._attempt_succeeded(spec, payload, outcomes, attempts, journal,
-                                report, run_started,
-                                elapsed=time.monotonic() - started)
-
-    def _poll_running(self, outcomes: dict[str, JobOutcome],
-                      attempts: dict[str, int], ready_at: dict[str, float],
-                      running: dict[str, _Running], journal: Journal,
-                      report: HarnessReport, run_started: float) -> None:
-        now = time.monotonic()
-        for name in list(running):
-            slot = running[name]
-            spec = self.by_name[name]
-            if slot.proc.exitcode is None:
-                if slot.deadline is not None and now > slot.deadline:
-                    slot.proc.kill()
-                    slot.proc.join()
-                    del running[name]
-                    report.timeouts += 1
-                    self._attempt_failed(
-                        spec,
-                        f"timeout: killed after {spec.timeout_s:.1f}s",
-                        outcomes, attempts, ready_at, journal, report,
-                        run_started, elapsed=now - slot.started,
-                    )
-                continue
-            slot.proc.join()
-            exitcode = slot.proc.exitcode
-            del running[name]
-            elapsed = time.monotonic() - slot.started
-            if exitcode == 0:
-                try:
-                    payload = read_artifact(self.artifact_path(name))
-                except (OSError, SerializationError) as exc:
-                    self._attempt_failed(spec, f"unreadable artifact: {exc}",
-                                         outcomes, attempts, ready_at,
-                                         journal, report, run_started,
-                                         elapsed=elapsed)
-                    continue
-                self._attempt_succeeded(spec, payload, outcomes, attempts,
-                                        journal, report, run_started,
-                                        elapsed=elapsed)
-            else:
-                error = self._read_error_file(name)
-                if error is None:
-                    error = (f"killed by signal {-exitcode}"
-                             if exitcode is not None and exitcode < 0
-                             else f"worker exited with code {exitcode}")
-                self._attempt_failed(spec, error, outcomes, attempts,
-                                     ready_at, journal, report, run_started,
-                                     elapsed=elapsed)
-
-    def _read_error_file(self, name: str) -> str | None:
-        try:
-            with open(self.error_path(name), encoding="utf-8") as handle:
-                return handle.read().strip() or None
-        except OSError:
-            return None
+                payload = self._prefetched.pop(spec.name, attempt.NO_PAYLOAD)
+                self._finish_attempt(spec, attempt.run_inline(
+                    *job, traceparent=traceparent, payload=payload))
 
     # -- attempt outcomes ----------------------------------------------
 
-    def _attempt_succeeded(self, spec: JobSpec, payload: Any,
-                           outcomes: dict[str, JobOutcome],
-                           attempts: dict[str, int], journal: Journal,
-                           report: HarnessReport, run_started: float,
-                           elapsed: float) -> None:
-        outcome = outcomes[spec.name]
-        path = self.artifact_path(spec.name)
-        sha = sha256_file(path)
-        outcome.state = JobState.SUCCEEDED
-        outcome.payload = payload
-        outcome.elapsed_s = elapsed
-        outcome.artifact_path = path
-        outcome.artifact_sha256 = sha
-        report.succeeded += 1
-        journal.record("job_success", job=spec.name,
-                       attempt=attempts[spec.name],
-                       elapsed_s=round(elapsed, 3),
-                       artifact=os.path.relpath(path, self.run_dir),
-                       sha256=sha)
-        if self.cache is not None and spec.cache_key is not None:
-            self.cache.put(spec.cache_key, {"payload": payload})
-        self._emit_progress(outcomes, spec.name, run_started)
-
-    def _attempt_failed(self, spec: JobSpec, error: str,
-                        outcomes: dict[str, JobOutcome],
-                        attempts: dict[str, int], ready_at: dict[str, float],
-                        journal: Journal, report: HarnessReport,
-                        run_started: float, elapsed: float) -> None:
-        outcome = outcomes[spec.name]
-        outcome.error = error
-        outcome.elapsed_s += elapsed
-        used = attempts[spec.name]
+    def _finish_attempt(self, spec: JobSpec,
+                        result: attempt.AttemptOutcome) -> None:
+        """Journal an attempt: a success, a retry, or a quarantine."""
+        outcome = self._outcomes[spec.name]
+        used = outcome.attempts
+        if result.kind == attempt.SUCCESS:
+            path = self.artifact_path(spec.name)
+            outcome.state = JobState.SUCCEEDED
+            outcome.payload = result.payload
+            outcome.elapsed_s = result.elapsed_s
+            outcome.artifact_path = path
+            outcome.artifact_sha256 = result.sha256
+            self._report.succeeded += 1
+            self._journal.record("job_success", job=spec.name, attempt=used,
+                                 elapsed_s=round(result.elapsed_s, 3),
+                                 artifact=os.path.relpath(path, self.run_dir),
+                                 sha256=result.sha256)
+            if self.cache is not None and spec.cache_key is not None:
+                self.cache.put(spec.cache_key, {"payload": result.payload})
+            self._emit_progress(spec.name)
+            return
+        if result.kind == attempt.TIMEOUT:  # all failure kinds retry alike
+            self._report.timeouts += 1
+        error = outcome.error = result.error
+        outcome.elapsed_s += result.elapsed_s
         if used < spec.retry.max_attempts:
             if spec.name not in self._backoffs:
                 self._backoffs[spec.name] = spec.retry.backoff_state(
                     salt=spec.name
                 )
             backoff = self._backoffs[spec.name].next_backoff()
-            report.retries += 1
-            ready_at[spec.name] = time.monotonic() + backoff
-            journal.record("job_retry", job=spec.name, attempt=used,
-                           backoff_s=round(backoff, 3), error=error)
-            if not self.isolate and backoff > 0.0:
-                time.sleep(backoff)
+            self._report.retries += 1
+            self._ready_at[spec.name] = time.monotonic() + backoff
+            self._journal.record("job_retry", job=spec.name, attempt=used,
+                                 backoff_s=round(backoff, 3), error=error)
         else:
             outcome.state = JobState.QUARANTINED
-            report.quarantined += 1
-            journal.record("job_quarantined", job=spec.name,
-                           attempts=used, error=error)
-            self._emit_progress(outcomes, spec.name, run_started)
+            self._report.quarantined += 1
+            self._journal.record("job_quarantined", job=spec.name,
+                                 attempts=used, error=error)
+            self._emit_progress(spec.name)
 
     # -- progress ------------------------------------------------------
 
-    def _emit_progress(self, outcomes: dict[str, JobOutcome], name: str,
-                       run_started: float) -> None:
+    def _emit_progress(self, name: str) -> None:
         if self.progress is None:
             return
-        completed = sum(1 for o in outcomes.values()
+        completed = sum(1 for o in self._outcomes.values()
                         if o.state in TERMINAL_STATES)
-        total = len(outcomes)
-        elapsed = time.perf_counter() - run_started
+        total = len(self._outcomes)
+        elapsed = time.perf_counter() - self._run_started
         eta = (elapsed / completed * (total - completed)
                if completed else None)
         self.progress(ProgressEvent(
             completed=completed, total=total, job=name,
-            state=outcomes[name].state.value,
+            state=self._outcomes[name].state.value,
             elapsed_s=elapsed, eta_s=eta,
         ))
 

@@ -1,20 +1,15 @@
 """Job execution: the spawned worker's entry point and the inline path.
 
-The supervisor never pickles closures across the process boundary; a job
-is a dotted ``module:function`` target plus JSON kwargs, resolved here.
-Success is communicated through the filesystem: the worker atomically
-writes the artifact JSON and exits 0.  Failure writes the traceback to a
-sidecar ``<artifact>.error`` file and exits 1 — the supervisor reads it
-back for the journal, so a crashing job never scrambles the parent.
+:mod:`repro.harness.attempt`, the one place that runs attempts, calls in
+here.  A job is a dotted ``module:function`` target plus JSON kwargs,
+never a pickled closure.  The worker writes the artifact JSON atomically
+and exits 0, or writes its traceback to the ``<artifact>.error`` sidecar
+and exits 1, so a crashing job never scrambles the parent.
 
-Trace propagation: the supervisor derives a deterministic child
-:class:`~repro.telemetry.tracecontext.TraceContext` per job and ships
-its ``traceparent`` string through the worker argument list.  It is
-installed in :data:`~repro.telemetry.tracecontext.TRACEPARENT_ENV`
-around the job target — in the *worker* for spawned jobs, briefly in
-the supervisor's process for inline ones — so any ``Telemetry()`` the
-target constructs roots its spans under the harness job's span and the
-merged streams stitch into one tree.
+A job's ``traceparent`` is installed in
+:data:`~repro.telemetry.tracecontext.TRACEPARENT_ENV` around the target
+— in the worker, or briefly in the caller for inline jobs — so spans a
+``Telemetry()`` in the target opens stitch under the caller's job span.
 """
 
 from __future__ import annotations

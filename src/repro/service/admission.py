@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import time
 from collections import OrderedDict, deque
-from typing import Any, Callable
+from typing import Any, Callable, Iterator
 
 from repro.errors import ServiceError
 from repro.service.config import ServiceConfig
@@ -168,6 +168,11 @@ class FairTenantQueues:
             del self._queues[best]
             self._current.pop(best, None)
         return item
+
+    def items(self) -> Iterator[Any]:
+        """Every queued item, in no particular order."""
+        for queue in self._queues.values():
+            yield from queue
 
     def drain_expired(self, is_expired: Callable[[Any], bool]) -> list[Any]:
         """Remove and return every queued item ``is_expired`` flags."""

@@ -18,9 +18,9 @@ Robustness properties, and where they live:
   (:class:`~repro.service.admission.AdmissionRefused`) and carry a
   ``Retry-After`` derived from queue depth and the observed service
   rate; the HTTP layer turns them into 429s.
-- **Deadlines end-to-end.**  A reaper expires queued jobs; the worker
-  loop kills in-flight processes at their deadline; both paths journal
-  ``job_expired``.
+- **Deadlines end-to-end.**  A reaper expires queued jobs; the attempt
+  runner (:mod:`repro.harness.attempt`) kills in-flight processes at
+  their deadline; no job is retried past it; all journal ``job_expired``.
 - **Degradation ladder.**  Consecutive worker failures walk the
   :class:`~repro.service.breaker.CircuitBreaker` through
   cache-only -> hard-reject; recovery is canary-probed.
@@ -28,19 +28,25 @@ Robustness properties, and where they live:
   finish (bounded by ``drain_timeout_s``), kills and journals the rest,
   and flushes the journal; a restart with the same run directory
   resumes them.
+
+Nothing polls: idle workers, the drain and the reaper wait on one
+``asyncio.Event`` that admission, requeue and completion set.
 """
 
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import os
+import sys
 import time
 from typing import Any
 
 from repro.errors import ServiceError
 from repro.faults.retry import RetryPolicy
+from repro.harness import attempt
 from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
-from repro.harness.worker import read_artifact, run_job_inline, worker_main
+from repro.harness.worker import read_artifact
 from repro.ioutil import sha256_file
 from repro.service.admission import AdmissionRefused, FairTenantQueues
 from repro.service.breaker import BreakerState, CircuitBreaker
@@ -56,7 +62,10 @@ from repro.service.models import (
 from repro.telemetry.slo import DEFAULT_SLOS, DEFAULT_WINDOWS, evaluate_slos
 from repro.telemetry.tracecontext import TraceContext
 
-_POLL_S = 0.01
+#: GIL switch interval while jobs run on threads (``isolate=False``): each
+#: event-loop syscall (socket I/O, journal fsync) would otherwise wait out
+#: the default 5 ms behind a CPU-bound job, stalling admission for a job.
+_THREADED_SWITCH_INTERVAL_S = 1e-4
 
 #: Numeric breaker-state gauge (Prometheus-friendly).
 _BREAKER_LEVEL = {
@@ -108,11 +117,11 @@ class SimulationService:
         self._journal: Journal | None = None
         self._tasks: list[asyncio.Task] = []
         self._stopped = asyncio.Event()
+        self._wake = asyncio.Event()    # queue or in-flight work changed
+        self._switch_interval = sys.getswitchinterval()  # shutdown restores
+        self._in_flight = 0             # dequeued jobs not yet terminal
         #: In-flight worker processes by job id (chaos tests reach in).
         self.running_procs: dict[str, Any] = {}
-        import multiprocessing
-
-        self._ctx = multiprocessing.get_context("spawn")
 
     # -- metrics shorthand ---------------------------------------------
 
@@ -122,7 +131,7 @@ class SimulationService:
     def _set_gauges(self) -> None:
         tel = self.telemetry
         tel.gauge("service_queue_depth").set(float(self.queues.depth()))
-        tel.gauge("service_running_jobs").set(float(len(self.running_procs)))
+        tel.gauge("service_running_jobs").set(float(self._in_flight))
         tel.gauge("service_breaker_level").set(
             float(_BREAKER_LEVEL[self.breaker.state])
         )
@@ -162,6 +171,9 @@ class SimulationService:
         os.makedirs(self.artifact_dir, exist_ok=True)
         journal_path = os.path.join(self.run_dir, JOURNAL_NAME)
         prior = read_journal(journal_path) if os.path.exists(journal_path) else []
+        if not self.config.isolate:
+            sys.setswitchinterval(min(self._switch_interval,
+                                      _THREADED_SWITCH_INTERVAL_S))
         self._journal = Journal(journal_path)
         self._journal.record("service_start",
                              workers=self.config.workers,
@@ -249,6 +261,7 @@ class SimulationService:
         if resumed:
             self._journal.record("service_resumed", jobs=resumed)
             self.telemetry.counter("service_resumed_jobs_total").inc(resumed)
+            self._wake.set()
 
     async def shutdown(self, *, reason: str = "shutdown") -> None:
         """Drain-then-exit: stop admission, finish work, flush, stop."""
@@ -260,29 +273,16 @@ class SimulationService:
         if self._journal is not None:
             self._journal.record("service_drain", reason=reason)
         deadline = time.monotonic() + self.config.drain_timeout_s
-
-        def outstanding() -> int:
-            return self.queues.depth() + len(self.running_procs)
-
-        while outstanding() and time.monotonic() < deadline \
-                and self.breaker.state is BreakerState.CLOSED:
-            await asyncio.sleep(_POLL_S)
+        while self.queues.depth() + self._in_flight \
+                and self.breaker.state is BreakerState.CLOSED \
+                and time.monotonic() < deadline:
+            await self._until_woken(deadline - time.monotonic())
+        # Cancelled workers kill their in-flight processes; those jobs stay
+        # journaled as submitted-without-terminal-event (resume contract).
         for task in self._tasks:
             task.cancel()
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
-        # Whatever survived the drain window stays journaled as
-        # submitted-without-terminal-event: the resume contract.
-        for job_id, proc in list(self.running_procs.items()):
-            try:
-                proc.kill()
-                proc.join()
-            except Exception:
-                pass
-            record = self.records.get(job_id)
-            if record is not None and record.phase is JobPhase.RUNNING:
-                record.phase = JobPhase.QUEUED  # will re-run on resume
-        self.running_procs.clear()
         abandoned = self.queues.drain_all()
         if self._journal is not None:
             self._journal.record(
@@ -301,6 +301,7 @@ class SimulationService:
             self.refresh_slo_gauges()
             merge_directory(self.config.telemetry_dir,
                             extra=[self.telemetry])
+        sys.setswitchinterval(self._switch_interval)
         self.started = False
         self._stopped.set()
 
@@ -371,6 +372,7 @@ class SimulationService:
         self.records[job_id] = record
         self._journal_submit(record)
         self._count("service_accepted_total", tenant=request.tenant)
+        self._wake.set()
         return record, False
 
     def _try_cache(self, request: JobRequest) -> JobRecord | None:
@@ -428,6 +430,7 @@ class SimulationService:
                 self._journal.record("job_cancelled", job=job_id)
             self._count("service_cancelled_total")
             self._set_gauges()
+            self._wake.set()
         return record
 
     # -- health surfaces ------------------------------------------------
@@ -438,7 +441,7 @@ class SimulationService:
             "breaker": self.breaker.state.value,
             "breaker_consecutive_failures": self.breaker.consecutive_failures,
             "queue_depth": self.queues.depth(),
-            "running": len(self.running_procs),
+            "running": self._in_flight,
             "jobs_tracked": len(self.records),
             "workers": self.config.workers,
         }
@@ -450,20 +453,26 @@ class SimulationService:
 
     # -- the worker loop ------------------------------------------------
 
+    async def _until_woken(self, timeout: float | None = None) -> None:
+        """Sleep until the wake event is set or ``timeout`` passes.  Callers
+        test their condition just before, with no ``await`` in between."""
+        self._wake.clear()
+        with contextlib.suppress(asyncio.TimeoutError):
+            await asyncio.wait_for(self._wake.wait(), timeout)
+
     async def _worker_loop(self, index: int) -> None:
         while True:
             if self.queues.depth() == 0:
-                await asyncio.sleep(_POLL_S)
+                await self._until_woken()
                 continue
             if not self.breaker.allow_execution():
-                await asyncio.sleep(_POLL_S)
+                # Degraded: sleep out the cooldown, or (0 s left) until the
+                # canary another worker holds reports back.
+                await self._until_woken(
+                    self.breaker.cooldown_remaining_s() or None)
                 continue
-            job_id = self.queues.take()
-            if job_id is None:
-                self.breaker.release_probe()
-                continue
-            record = self.records[job_id]
-            if record.phase is not JobPhase.QUEUED:
+            record = self.records.get(self.queues.take())
+            if record is None or record.phase is not JobPhase.QUEUED:
                 self.breaker.release_probe()
                 continue  # cancelled/expired while queued
             if record.expired(time.monotonic()):
@@ -473,11 +482,14 @@ class SimulationService:
             record.phase = JobPhase.RUNNING
             if record.started_unix is None:
                 record.started_unix = time.time()
+            self._in_flight += 1
             self._set_gauges()
             try:
                 await self._execute(record)
             finally:
+                self._in_flight -= 1
                 self._set_gauges()
+                self._wake.set()
 
     async def _execute(self, record: JobRecord) -> None:
         """Run one job to a terminal phase, honoring retry + deadline."""
@@ -488,26 +500,30 @@ class SimulationService:
             assert self._journal is not None
             self._journal.record("job_start", job=record.job_id,
                                  attempt=record.attempts)
-            outcome, error = await self._run_attempt(record)
-            if outcome == "success":
-                elapsed = time.perf_counter() - started
-                self._finish_success(record, elapsed)
+            outcome = await self._attempt(record)
+            if outcome.kind == attempt.SUCCESS:
+                record.result = outcome.payload
+                record.artifact_sha256 = outcome.sha256
+                self._finish_success(record, time.perf_counter() - started)
                 return
-            if outcome == "expired":
+            if outcome.kind == attempt.EXPIRED:
                 self._finish_expired(record, where="running")
                 self.breaker.release_probe()
                 return
-            if outcome == "worker_failure":
+            if outcome.kind == attempt.JOB_ERROR:  # backend healthy
+                self.breaker.record_success()
+            else:  # worker_failure or timeout
                 self.breaker.record_failure()
                 self._count("service_worker_failures_total")
-            else:  # clean application error: backend is healthy
-                self.breaker.record_success()
             if record.attempts >= self.retry.max_attempts or self.draining \
                     or self.breaker.state is not BreakerState.CLOSED:
-                self._finish_failed(record, error)
+                self._finish_failed(record, outcome.error)
                 return
             self._count("service_retries_total")
             await asyncio.sleep(backoff.next_backoff())
+            if record.expired(time.monotonic()):
+                self._finish_expired(record, where="running")
+                return
 
     def _job_kwargs(self, record: JobRecord) -> dict[str, Any]:
         """Worker kwargs for one attempt.
@@ -528,87 +544,20 @@ class SimulationService:
                 kwargs["traceparent"] = record.trace.to_traceparent()
         return kwargs
 
-    async def _run_attempt(self, record: JobRecord) -> tuple[str, str | None]:
-        """One attempt; returns ``(outcome, error)`` with outcome in
-        ``{"success", "expired", "worker_failure", "job_error"}``."""
+    async def _attempt(self, record: JobRecord) -> attempt.AttemptOutcome:
+        """One attempt: a spawned worker, or (unkillable) a thread."""
+        job = (record.job_id, JOB_TARGET, self._job_kwargs(record),
+               self._artifact_path(record.job_id))
         if not self.config.isolate:
-            return await self._run_attempt_inline(record)
-        artifact = self._artifact_path(record.job_id)
-        error_path = artifact + ".error"
+            return await asyncio.get_running_loop().run_in_executor(
+                None, lambda: attempt.run_inline(*job))
+        worker = attempt.Attempt(*job, timeout_s=self.config.job_timeout_s,
+                                 deadline=record.deadline_monotonic)
+        self.running_procs[record.job_id] = worker.proc
         try:
-            os.unlink(error_path)
-        except OSError:
-            pass
-        proc = self._ctx.Process(
-            target=worker_main,
-            args=(record.job_id, JOB_TARGET, self._job_kwargs(record),
-                  artifact, error_path),
-            name=f"service-{record.job_id}",
-        )
-        proc.start()
-        self.running_procs[record.job_id] = proc
-        self._set_gauges()
-        timeout_at = time.monotonic() + self.config.job_timeout_s
-        try:
-            while proc.exitcode is None:
-                now = time.monotonic()
-                if record.expired(now):
-                    proc.kill()
-                    proc.join()
-                    return "expired", None
-                if now >= timeout_at:
-                    proc.kill()
-                    proc.join()
-                    return ("worker_failure",
-                            f"timeout: killed after {self.config.job_timeout_s:.1f}s")
-                await asyncio.sleep(_POLL_S)
-            proc.join()
-        except asyncio.CancelledError:
-            # Worker task cancelled (shutdown): never leak a live child.
-            proc.kill()
-            proc.join()
-            raise
+            return await worker.wait_async()
         finally:
             self.running_procs.pop(record.job_id, None)
-        exitcode = proc.exitcode
-        if exitcode == 0:
-            try:
-                record.result = read_artifact(artifact)
-            except Exception as exc:
-                return "worker_failure", f"unreadable artifact: {exc}"
-            record.artifact_sha256 = sha256_file(artifact)
-            return "success", None
-        error = self._read_error_file(error_path)
-        if error is not None:
-            return "job_error", error
-        if exitcode is not None and exitcode < 0:
-            return "worker_failure", f"killed by signal {-exitcode}"
-        return "worker_failure", f"worker exited with code {exitcode}"
-
-    async def _run_attempt_inline(self, record: JobRecord) -> tuple[str, str | None]:
-        """Threaded attempt for ``isolate=False`` (no kill capability)."""
-        loop = asyncio.get_running_loop()
-        artifact = self._artifact_path(record.job_id)
-        try:
-            payload = await loop.run_in_executor(
-                None, lambda: run_job_inline(
-                    record.job_id, JOB_TARGET, self._job_kwargs(record),
-                    artifact
-                )
-            )
-        except Exception as exc:  # noqa: BLE001 — job error, not ours
-            return "job_error", f"{type(exc).__name__}: {exc}"
-        record.result = payload
-        record.artifact_sha256 = sha256_file(artifact)
-        return "success", None
-
-    @staticmethod
-    def _read_error_file(path: str) -> str | None:
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return handle.read().strip() or None
-        except OSError:
-            return None
 
     # -- terminal transitions ------------------------------------------
 
@@ -701,21 +650,24 @@ class SimulationService:
     # -- the reaper -----------------------------------------------------
 
     async def _reaper_loop(self) -> None:
-        """Expire queued jobs whose deadline passed (in-flight expiry is
-        enforced by the attempt poll loop)."""
+        """Expire queued jobs at their deadlines (the attempt runner
+        expires in-flight ones), sleeping until the nearest one."""
         while True:
             now = time.monotonic()
-
-            def queued_and_expired(job_id: str) -> bool:
-                record = self.records.get(job_id)
-                return record is not None and record.expired(now)
-
-            for job_id in self.queues.drain_expired(queued_and_expired):
+            deadlines = [self.records[job_id].deadline_monotonic
+                         for job_id in self.queues.items()]
+            nearest = min((d for d in deadlines if d is not None), default=None)
+            if nearest is None or nearest > now:
+                await self._until_woken(
+                    None if nearest is None else nearest - now)
+                continue
+            for job_id in self.queues.drain_expired(
+                    lambda item: self.records[item].expired(now)):
                 record = self.records[job_id]
                 if record.phase is JobPhase.QUEUED:
                     self._finish_expired(record, where="queued")
             self._set_gauges()
-            await asyncio.sleep(5 * _POLL_S)
+            self._wake.set()
 
     # -- paths ----------------------------------------------------------
 

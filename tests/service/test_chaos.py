@@ -213,10 +213,12 @@ class TestDeadlineStorm:
         run_dir = str(tmp_path / "run")
         with ServiceThread(config, run_dir) as svc:
             client = svc.client()
-            # Deadline shorter than the spawn window: the job will be
-            # mid-flight (process alive) when it expires.
-            status, body, _ = client.submit(workload="hotspot", iterations=4,
-                                            time_scale=0.05, deadline_s=0.4)
+            # The largest job the default guards admit runs over 1 s even
+            # inline, and it is marked running before its worker spawns:
+            # the deadline always falls while the attempt is in flight.
+            status, body, _ = client.submit(workload="hotspot",
+                                            iterations=64, time_scale=1.0,
+                                            deadline_s=1.0)
             assert status == 202
             done = client.wait(body["job_id"], timeout_s=60)
             assert done["phase"] == "expired"
@@ -225,6 +227,7 @@ class TestDeadlineStorm:
         records = journal_events(run_dir)
         expired = [r for r in records if r["event"] == "job_expired"]
         assert len(expired) == 1
+        assert expired[0]["where"] == "running"
         # The breaker must not count a deadline kill as backend illness.
         assert not any(r["event"] == "job_failed" for r in records)
 
