@@ -14,7 +14,8 @@ import numpy as np
 
 from repro.core.policies import StaticPolicy
 from repro.errors import ConfigError
-from repro.runtime.executor import ExecutorOptions, run_workload
+from repro.runtime.batch_executor import BatchExecutor, RunRequest
+from repro.runtime.executor import ExecutorOptions
 from repro.runtime.metrics import RunResult
 from repro.workloads.base import Workload
 
@@ -50,7 +51,10 @@ def sweep_divisions(
     the points distinguishable: every point labels its metrics with its
     own ``static-division-<r>`` policy name.  ``audit`` optionally
     attaches a shared decision trail (static points only record tier-1
-    boundaries — there is no live scaler).
+    boundaries — there is no live scaler).  Uninstrumented points pack
+    into one lockstep batch (lane *i* is bit-identical to the scalar run
+    for ratio *i*); instrumented points run scalar for their side-effect
+    artifacts.
     """
     if ratios is None:
         ratios = np.arange(0.0, 0.901, 0.05)
@@ -60,39 +64,22 @@ def sweep_divisions(
         if not 0.0 <= r <= 1.0:
             raise ConfigError(f"ratio {r} out of [0, 1]")
         clean.append(r)
-    if telemetry is None and audit is None:
-        # Uninstrumented sweeps pack all points into the lockstep batch
-        # engine (lane i is bit-identical to the scalar run for ratio i);
-        # instrumented sweeps below need live scalar runs for their
-        # side-effect artifacts.
-        from repro.runtime.batch_executor import BatchExecutor, RunRequest
-
-        requests = [
-            RunRequest(
-                workload=workload,
-                policy=StaticPolicy(0, 0, ratio=r, name=f"static-division-{r:.2f}"),
-                n_iterations=n_iterations,
-                options=options,
-            )
-            for r in clean
-        ]
-        results = BatchExecutor().run_many(requests)
-        return [
-            DivisionSweepPoint(r=r, result=result)
-            for r, result in zip(clean, results)
-        ]
-    points = []
-    for r in clean:
-        result = run_workload(
-            workload,
-            StaticPolicy(0, 0, ratio=r, name=f"static-division-{r:.2f}"),
+    requests = [
+        RunRequest(
+            workload=workload,
+            policy=StaticPolicy(0, 0, ratio=r, name=f"static-division-{r:.2f}"),
             n_iterations=n_iterations,
             options=options,
             telemetry=telemetry,
             audit=audit,
         )
-        points.append(DivisionSweepPoint(r=r, result=result))
-    return points
+        for r in clean
+    ]
+    results = BatchExecutor().run_many(requests)
+    return [
+        DivisionSweepPoint(r=r, result=result)
+        for r, result in zip(clean, results)
+    ]
 
 
 def best_point(points: list[DivisionSweepPoint]) -> DivisionSweepPoint:

@@ -178,46 +178,34 @@ def cmd_show(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    from repro.runtime.batch_executor import BatchExecutor, RunRequest
+    from repro.telemetry import AuditTrail, Telemetry
+
     workload = scaled_workload(args.workload, args.time_scale)
     options = scaled_options(args.time_scale)
-    cache = _make_cache(args)
     policy_names = ("rodinia-default", "scaling-only", "division-only", "greengpu")
-    if not args.telemetry:
-        # Uninstrumented comparisons pack all four policies into one
-        # lockstep batch (cache hits and faulted runs fall back per lane).
-        from repro.runtime.batch_executor import BatchExecutor, RunRequest
-
-        requests = [
-            RunRequest(
-                workload=workload,
-                policy=_make_policy(name, args.time_scale, args),
-                n_iterations=args.iterations,
-                options=options,
-            )
-            for name in policy_names
-        ]
-        results = BatchExecutor(cache=cache).run_many(requests)
-        print(comparison_report(results, baseline_index=0))
-        return 0
-    results = []
-    for name in policy_names:
-        from repro.telemetry import AuditTrail, Telemetry
-        from repro.telemetry.merge import export_worker, worker_dir
-
-        telemetry = Telemetry()
-        audit = AuditTrail()
-        results.append(run_workload(
-            workload, _make_policy(name, args.time_scale, args),
-            n_iterations=args.iterations, options=options,
-            telemetry=telemetry, audit=audit, cache=cache,
-        ))
-        if telemetry is not None:
-            export_worker(telemetry, args.telemetry, name)
-            audit.write(worker_dir(args.telemetry, name))
+    # Plain comparisons pack all four policies into one lockstep batch;
+    # with --telemetry each policy records its own trail on a live run.
+    requests = [
+        RunRequest(
+            workload=workload,
+            policy=_make_policy(name, args.time_scale, args),
+            n_iterations=args.iterations,
+            options=options,
+            telemetry=Telemetry() if args.telemetry else None,
+            audit=AuditTrail() if args.telemetry else None,
+        )
+        for name in policy_names
+    ]
+    results = BatchExecutor(cache=_make_cache(args)).run_many(requests)
     print(comparison_report(results, baseline_index=0))
     if args.telemetry:
         from repro.telemetry import merge_directory
+        from repro.telemetry.merge import export_worker, worker_dir
 
+        for name, request in zip(policy_names, requests):
+            export_worker(request.telemetry, args.telemetry, name)
+            request.audit.write(worker_dir(args.telemetry, name))
         merge_directory(args.telemetry)
         print(f"\ntelemetry written to {args.telemetry} "
               f"(per-policy trails merged; render with: "
@@ -235,26 +223,28 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """
     import tempfile
 
-    from repro.harness.suite_jobs import sweep_specs
+    from repro.harness.suite_jobs import sweep_prefetch, sweep_specs
     from repro.harness.supervisor import run_jobs, stderr_progress
 
     scaled_workload(args.workload, args.time_scale)  # validate the name early
-    ratios = [round(args.step * i, 4) for i in range(int(args.max_ratio / args.step) + 1)]
+    if not 0.0 < args.step <= 1.0:
+        raise ConfigError(f"--step must be in (0, 1], got {args.step}")
+    if not 0.0 <= args.max_ratio <= 1.0:
+        raise ConfigError(f"--max-ratio must be in [0, 1], got {args.max_ratio}")
+    # The tolerance keeps the endpoint when the quotient lands a hair
+    # under an integer (0.3 / 0.1 == 2.9999999999999996).
+    n_points = int(args.max_ratio / args.step + 1e-9) + 1
+    ratios = [round(args.step * i, 4) for i in range(n_points)]
     specs = sweep_specs(args.workload, ratios, args.iterations, args.time_scale,
                         telemetry_dir=args.telemetry)
     sweep_cache = _make_cache(args)
     # Inline (non-isolated) sweeps hand the supervisor a prefetch hook
-    # that packs all still-pending points into one lockstep batch; each
-    # point still flows through per-job journaling, artifacts, and cache
-    # puts, so the run directory is byte-for-byte a scalar sweep's.
-    # Isolated runs (--parallel > 1 / --isolate) keep live subprocess
-    # workers — the supervisor ignores the hook there.
-    prefetch = None
-    if not args.telemetry:
-        from repro.harness.suite_jobs import sweep_prefetch
-
-        prefetch = sweep_prefetch(args.workload, args.iterations,
-                                  args.time_scale)
+    # that packs all still-pending, uninstrumented points into one
+    # lockstep batch; each point still flows through per-job journaling,
+    # artifacts, and cache puts, so the run directory is byte-for-byte a
+    # scalar sweep's.  Isolated runs (--parallel > 1 / --isolate) keep
+    # live subprocess workers — the supervisor ignores the hook there.
+    prefetch = sweep_prefetch(args.workload, args.iterations, args.time_scale)
     supervisor_telemetry = None
     if args.telemetry:
         from repro.telemetry import Telemetry

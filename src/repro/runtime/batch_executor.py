@@ -1,42 +1,54 @@
-"""Dispatch layer that packs compatible runs into the batched engine.
+"""The run dispatcher: the one place that picks an engine and serves the cache.
 
-``BatchExecutor.run_many`` takes a list of ``run_workload``-shaped
-requests and executes them with the cheapest path that preserves
-observable behavior:
+Every run goes through ``BatchExecutor.run_many`` — ``run_workload`` is
+its one-request case.  For each request it decides:
 
-- **cache**: per-lane content-addressed ``run_key`` hits are served first
-  (``engine == "cache"``), exactly like the scalar fast path would.
-- **batch**: two or more cache-miss requests that the lockstep engine can
+- **cache**: a request has a content-addressed ``run_key`` only when the
+  executor has a cache and the caller supplied no ``system``.  A stored
+  entry is served (``engine == "cache"``) only to an unobserved request
+  — no recorder, no audit trail, no enabled telemetry — because those
+  side-effect artifacts must come from a live run.
+- **batch**: two or more remaining requests that the lockstep engine can
   represent bit-exactly (see :func:`classify`) run as lanes of one
   :func:`repro.sim.batch.run_batch` call (``engine == "batch"``).
 - **scalar**: everything else — faulted policies, instrumented runs,
   caller-supplied systems or recorders, warmups, non-demand-model
-  workloads, or a lone eligible request not worth the numpy overhead —
-  falls back to ``run_workload`` with the reason recorded in
+  workloads, or a lone eligible request not worth the numpy overhead
+  (every plain ``run_workload``) — runs
+  :func:`~repro.runtime.executor.simulate`, with the reason recorded in
   ``engine == "scalar:<reason>"``.
 
-Cache keys are computed per lane, so batch execution is invisible to the
-cache, the job journal, and resume: a warm sweep served from cache cannot
-tell which engine produced the entries.
+Every computed result with a key is stored, instrumented runs included
+(with their telemetry snapshot), so later plain requests skip the work.
+Keys are per request, so batch execution is invisible to the cache, the
+job journal, and resume: a warm sweep served from cache cannot tell
+which engine produced the entries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 
-from repro.runtime.executor import ExecutorOptions, run_workload
+from repro.runtime.executor import ExecutorOptions, simulate
 from repro.runtime.metrics import RunResult
-from repro.sim.batch import BatchRunRequest, batch_eligible, run_batch
+from repro.workloads.base import DemandModelWorkload
 
 #: Reason recorded by fleet shard payloads: fleet nodes run caller-built
 #: systems (power-cap ceilings, per-node fault injectors) that the batch
 #: engine's fresh-default-testbed contract excludes by construction.
 FLEET_SCALAR_REASON = "scalar:fleet-custom-system"
 
+#: Fewest lanes worth a batch: a lone lane pays numpy dispatch overhead
+#: per tick for no amortization, so the scalar fast path is faster.
+_MIN_BATCH = 2
+
 
 @dataclass(slots=True)
 class RunRequest:
-    """One logical ``run_workload`` invocation, dispatchable as a lane."""
+    """One logical ``run_workload`` invocation, dispatchable as a lane.
+
+    The fields are :func:`~repro.runtime.executor.simulate`'s arguments.
+    """
 
     workload: object
     policy: object
@@ -47,7 +59,15 @@ class RunRequest:
     warmup_s: float = 0.0
     telemetry: object | None = None
     audit: object | None = None
-    extra: dict = field(default_factory=dict)
+
+
+def _observed(request: RunRequest) -> bool:
+    """Whether the request carries side channels only a live run can feed."""
+    return (
+        request.recorder is not None
+        or request.audit is not None
+        or getattr(request.telemetry, "enabled", False)
+    )
 
 
 def classify(request: RunRequest) -> str | None:
@@ -58,7 +78,9 @@ def classify(request: RunRequest) -> str | None:
     faults, instruments the run, or supplies external state must take the
     scalar path so those side effects come from a live scalar run.
     """
-    if not batch_eligible(request.workload):
+    if not isinstance(request.workload, DemandModelWorkload):
+        # Only demand-model workloads have the iteration-invariant segment
+        # queues the engine packs (``repro.sim.batch.batch_eligible``).
         return "workload"
     if request.policy.fault_plan is not None:
         return "faults"
@@ -66,9 +88,7 @@ def classify(request: RunRequest) -> str | None:
         return "system"
     if request.recorder is not None:
         return "recorder"
-    if request.telemetry is not None and getattr(
-        request.telemetry, "enabled", False
-    ):
+    if getattr(request.telemetry, "enabled", False):
         return "telemetry"
     if request.audit is not None:
         return "audit"
@@ -80,9 +100,50 @@ def classify(request: RunRequest) -> str | None:
 class BatchExecutor:
     """Routes request lists through cache, batch, or scalar execution."""
 
-    def __init__(self, cache=None, min_batch: int = 2):
+    def __init__(self, cache=None):
         self.cache = cache
-        self.min_batch = min_batch
+
+    def run_many(self, requests: list[RunRequest]) -> list[RunResult]:
+        """Execute every request; results come back in request order."""
+        results: list[RunResult | None] = [None] * len(requests)
+        keys = [self._cache_key(request) for request in requests]
+        reasons: dict[int, str | None] = {}
+        for i, request in enumerate(requests):
+            if keys[i] is not None and not _observed(request):
+                results[i] = self._lookup(keys[i])
+            if results[i] is None:
+                reasons[i] = classify(request)
+        lanes = [i for i, reason in reasons.items() if reason is None]
+        if len(lanes) < _MIN_BATCH:
+            reasons.update((i, "singleton") for i in lanes)
+            lanes = []
+        for i, reason in reasons.items():
+            if reason is not None:
+                request = requests[i]
+                result = simulate(**{f.name: getattr(request, f.name)
+                                     for f in fields(request)})
+                result.engine = f"scalar:{reason}"
+                results[i] = result
+                self._store(keys[i], request, result)
+        if lanes:
+            # Imported here, like the cache and the serializer below, so a
+            # lone uncached run (every spawned service worker) never
+            # loads them.
+            from repro.sim.batch import BatchRunRequest, run_batch
+
+            lane_requests = [
+                BatchRunRequest(
+                    workload=requests[i].workload,
+                    policy=requests[i].policy,
+                    n_iterations=requests[i].n_iterations,
+                    options=requests[i].options,
+                )
+                for i in lanes
+            ]
+            for i, result in zip(lanes, run_batch(lane_requests)):
+                results[i] = result
+                self._store(keys[i], requests[i], result)
+        return results  # type: ignore[return-value]
 
     def _cache_key(self, request: RunRequest) -> str | None:
         if self.cache is None or request.system is not None:
@@ -97,74 +158,28 @@ class BatchExecutor:
             request.warmup_s,
         )
 
-    def run_many(self, requests: list[RunRequest]) -> list[RunResult]:
-        """Execute every request; results come back in request order."""
-        results: list[RunResult | None] = [None] * len(requests)
-        keys: list[str | None] = [None] * len(requests)
-        batchable: list[int] = []
-        for i, request in enumerate(requests):
-            reason = classify(request)
-            if reason is not None:
-                results[i] = self._run_scalar(request, reason)
-                continue
-            key = self._cache_key(request)
-            keys[i] = key
-            if key is not None:
-                payload = self.cache.get(key)
-                if payload is not None:
-                    from repro.analysis.serialize import result_from_dict
+    def _lookup(self, key: str) -> RunResult | None:
+        from repro.analysis.serialize import result_from_dict
 
-                    try:
-                        result = result_from_dict(payload["result"])
-                        result.engine = "cache"
-                        results[i] = result
-                        continue
-                    except Exception:
-                        pass  # stale schema: recompute and overwrite below
-            batchable.append(i)
-        if len(batchable) < self.min_batch:
-            # A lone lane pays numpy dispatch overhead per tick for no
-            # amortization; the scalar fast path is strictly faster.
-            for i in batchable:
-                # run_workload handles the cache get/put itself here.
-                results[i] = self._run_scalar(requests[i], "singleton")
-            return results  # type: ignore[return-value]
-        lane_requests = [
-            BatchRunRequest(
-                workload=requests[i].workload,
-                policy=requests[i].policy,
-                n_iterations=requests[i].n_iterations,
-                options=requests[i].options,
-            )
-            for i in batchable
-        ]
-        for i, result in zip(batchable, run_batch(lane_requests)):
-            results[i] = result
-            self._store(keys[i], result)
-        return results  # type: ignore[return-value]
-
-    def _run_scalar(self, request: RunRequest, reason: str) -> RunResult:
-        result = run_workload(
-            request.workload,
-            request.policy,
-            request.n_iterations,
-            system=request.system,
-            options=request.options,
-            recorder=request.recorder,
-            warmup_s=request.warmup_s,
-            telemetry=request.telemetry,
-            audit=request.audit,
-            cache=self.cache,
-        )
-        # run_workload already tags cache hits; keep that tag, otherwise
-        # record why this request couldn't ride the batch.
-        if result.engine != "cache":
-            result.engine = f"scalar:{reason}"
+        payload = self.cache.get(key)
+        if payload is None:
+            return None
+        try:
+            result = result_from_dict(payload["result"])
+        except Exception:
+            # Entry parsed but does not round-trip (e.g. written by an
+            # incompatible revision): recompute, and the store overwrites it.
+            return None
+        result.engine = "cache"
         return result
 
-    def _store(self, key: str | None, result: RunResult) -> None:
-        if key is None or result.engine == "cache":
+    def _store(self, key: str | None, request: RunRequest,
+               result: RunResult) -> None:
+        if key is None:
             return
         from repro.analysis.serialize import result_to_dict
 
-        self.cache.put(key, {"result": result_to_dict(result)})
+        payload = {"result": result_to_dict(result)}
+        if getattr(request.telemetry, "enabled", False):
+            payload["telemetry"] = request.telemetry.registry.snapshot()
+        self.cache.put(key, payload)

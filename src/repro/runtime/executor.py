@@ -12,6 +12,12 @@ the asynchronous variant for the ablation benches.
 Division changes between iterations cost ``repartition_overhead_s`` of
 host time (data re-chunking and kernel re-invocation), which is what the
 oscillation safeguard exists to amortize (§V-B).
+
+:func:`simulate` is the scalar engine for one whole run.  Callers go
+through :func:`run_workload`, a one-request
+:class:`~repro.runtime.batch_executor.BatchExecutor` call: the executor
+alone picks the engine and decides whether the result cache may serve
+or store a run.
 """
 
 from __future__ import annotations
@@ -168,7 +174,7 @@ class HeteroExecutor:
         return [self.run_iteration(i) for i in range(n_iterations)]
 
 
-def run_workload(
+def simulate(
     workload: Workload,
     policy: Policy,
     n_iterations: int | None = None,
@@ -178,9 +184,8 @@ def run_workload(
     warmup_s: float = 0.0,
     telemetry: Telemetry | NullTelemetry | None = None,
     audit=None,
-    cache=None,
 ) -> RunResult:
-    """Run a full measured experiment: one workload under one policy.
+    """Simulate one workload under one policy on the scalar engine.
 
     Builds a fresh default testbed unless one is supplied, applies the
     policy's initial state, attaches its controller, runs the iterations,
@@ -198,45 +203,12 @@ def run_workload(
     ``audit`` optionally attaches a decision
     :class:`~repro.telemetry.audit.AuditTrail`; the caller serializes it
     (``audit.write(dir)``) next to the telemetry exports.
-
-    ``cache`` optionally consults a
-    :class:`~repro.cache.ResultCache` before simulating.  Caching only
-    engages when no ``system`` is supplied (the key describes the
-    default testbed) and the workload is fingerprintable; a hit is only
-    *served* when the run is otherwise unobserved — no caller recorder,
-    no enabled telemetry, no audit trail — because those side-effect
-    artifacts must come from a live run.  Instrumented runs still
-    *store* their result so later plain invocations can skip the work.
     """
     if n_iterations is None:
         n_iterations = workload.default_iterations
     if warmup_s < 0.0:
         raise SimulationError("warmup must be non-negative")
     tel = telemetry if telemetry is not None else NOOP
-    cache_key = None
-    if cache is not None and system is None:
-        from repro.cache import run_key
-
-        cache_key = run_key(workload, policy, n_iterations, options, warmup_s)
-        if (
-            cache_key is not None
-            and recorder is None
-            and audit is None
-            and not tel.enabled
-        ):
-            payload = cache.get(cache_key)
-            if payload is not None:
-                from repro.analysis.serialize import result_from_dict
-
-                try:
-                    result = result_from_dict(payload["result"])
-                    result.engine = "cache"
-                    return result
-                except Exception:
-                    # Entry parsed but does not round-trip (e.g. written
-                    # by an incompatible revision): recompute, and the
-                    # put below overwrites it.
-                    pass
     if system is None:
         system = make_testbed()
     recorder = recorder if recorder is not None else TraceRecorder()
@@ -306,11 +278,34 @@ def run_workload(
                 result.total_energy_j / result.total_s, t=t_end
             )
         tel.gauge("run_final_ratio").set(result.final_ratio, t=t_end)
-    if cache_key is not None:
-        from repro.analysis.serialize import result_to_dict
-
-        payload = {"result": result_to_dict(result)}
-        if tel.enabled:
-            payload["telemetry"] = tel.registry.snapshot()
-        cache.put(cache_key, payload)
     return result
+
+
+def run_workload(
+    workload: Workload,
+    policy: Policy,
+    n_iterations: int | None = None,
+    system: HeteroSystem | None = None,
+    options: ExecutorOptions | None = None,
+    recorder: TraceRecorder | None = None,
+    warmup_s: float = 0.0,
+    telemetry: Telemetry | NullTelemetry | None = None,
+    audit=None,
+    cache=None,
+) -> RunResult:
+    """Run a full measured experiment: one workload under one policy.
+
+    Takes :func:`simulate`'s arguments plus an optional ``cache``
+    (:class:`~repro.cache.ResultCache`).  This is the one-request case of
+    :meth:`~repro.runtime.batch_executor.BatchExecutor.run_many`, which
+    alone decides whether the cache serves or stores the run, and
+    otherwise runs :func:`simulate` (``engine == "scalar:<reason>"``).
+    """
+    from repro.runtime.batch_executor import BatchExecutor, RunRequest
+
+    request = RunRequest(
+        workload=workload, policy=policy, n_iterations=n_iterations,
+        options=options, system=system, recorder=recorder,
+        warmup_s=warmup_s, telemetry=telemetry, audit=audit,
+    )
+    return BatchExecutor(cache).run_many([request])[0]

@@ -38,7 +38,7 @@ lane, so tier-2 learning state is the genuine article rather than a clone.
 The engine only accepts runs that the scalar fast path would execute on a
 fresh default testbed with no faults, no audit/telemetry instrumentation,
 and no warmup (see :mod:`repro.runtime.batch_executor` for the dispatch
-rules); everything else falls back to ``run_workload``.
+rules); everything else runs on the scalar engine.
 """
 
 from __future__ import annotations

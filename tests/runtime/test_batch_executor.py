@@ -23,6 +23,7 @@ from repro.runtime.batch_executor import (
 from repro.runtime.executor import ExecutorOptions, run_workload
 from repro.sim.platform import make_testbed
 from repro.sim.trace import TraceRecorder
+from repro.telemetry import AuditTrail, Telemetry
 from tests.conftest import FAST_SCALE, fast_workload
 
 
@@ -173,6 +174,54 @@ class TestCacheInterplay:
         assert [r.engine for r in results] == [
             "cache", "batch", "cache", "batch",
         ]
+
+
+    def test_lone_miss_costs_one_lookup(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        [result] = BatchExecutor(cache=cache).run_many([_request()])
+        assert result.engine == "scalar:singleton"
+        assert (cache.hits, cache.misses, cache.stores) == (0, 1, 1)
+
+
+def _faulted():
+    return GreenGpuPolicy().with_faults(fault_profile("light", seed=0))
+
+
+#: (shape, request overrides, served from a warm entry, result stored).
+#: Factories, so every run gets fresh policies and observers.
+CACHE_RULES = [
+    ("plain", lambda: {}, True, False),
+    ("faults", lambda: {"policy": _faulted()}, True, False),
+    ("warmup", lambda: {"warmup_s": 0.2}, True, False),
+    ("recorder", lambda: {"recorder": TraceRecorder()}, False, True),
+    ("telemetry", lambda: {"telemetry": Telemetry()}, False, True),
+    ("audit", lambda: {"audit": AuditTrail()}, False, True),
+    ("system", lambda: {"system": make_testbed()}, False, False),
+]
+
+
+class TestCacheRules:
+    """One rule for every request: a key needs a cache and no caller
+    system, a hit is served only to an unobserved request, and every
+    computed result with a key is stored."""
+
+    @pytest.mark.parametrize("shape, overrides, served, stored", CACHE_RULES,
+                             ids=[rule[0] for rule in CACHE_RULES])
+    def test_rule(self, tmp_path, shape, overrides, served, stored):
+        cache = ResultCache(tmp_path)
+        # Warm the entry the request's own key points at (a caller
+        # system leaves the key of the plain request).
+        keyed = {k: v for k, v in overrides().items()
+                 if k in ("policy", "warmup_s")}
+        [warm] = BatchExecutor(cache=cache).run_many([_request(**keyed)])
+        assert cache.stores == 1
+
+        [result] = BatchExecutor(cache=cache).run_many(
+            [_request(**overrides())])
+        assert (result.engine == "cache") is served
+        assert cache.stores == 1 + stored
+        if served:
+            assert result_to_dict(result) == result_to_dict(warm)
 
 
 class TestFinalizeMetersOnFailure:

@@ -40,6 +40,29 @@ class TestCompare:
         for name in ("rodinia-default", "division-only", "greengpu"):
             assert name in out
 
+    def test_compare_table_same_with_and_without_telemetry(
+            self, capsys, tmp_path, monkeypatch):
+        from repro.runtime.batch_executor import BatchExecutor
+
+        engines = []
+        run_many = BatchExecutor.run_many
+
+        def spy(self, requests):
+            results = run_many(self, requests)
+            engines.append([r.engine for r in results])
+            return results
+
+        monkeypatch.setattr(BatchExecutor, "run_many", spy)
+        argv = ["compare", "--workload", "kmeans", "--iterations", "2",
+                "--time-scale", "0.05", "--no-cache"]
+        assert main(argv) == 0
+        plain = capsys.readouterr().out
+        assert main([*argv, "--telemetry", str(tmp_path / "tel")]) == 0
+        instrumented = capsys.readouterr().out
+        assert instrumented.startswith(plain)
+        assert "telemetry written" in instrumented[len(plain):]
+        assert engines == [["batch"] * 4, ["scalar:telemetry"] * 4]
+
 
 class TestSweep:
     def test_sweep_reports_minimum(self, capsys):
@@ -72,6 +95,35 @@ class TestSweep:
         # Same table, recomputed from the journaled artifacts.
         assert ("energy minimum at r = 0.15"
                 in first.out) and ("energy minimum at r = 0.15" in second.out)
+
+    @pytest.mark.parametrize("step, max_ratio, last", [
+        ("0.1", "0.3", "0.30"),    # 0.3 / 0.1 == 2.9999999999999996
+        ("0.1", "0.7", "0.70"),
+        ("0.05", "0.93", "0.90"),  # ends on the last whole step
+    ])
+    def test_sweep_includes_endpoint_and_never_exceeds_it(
+            self, capsys, step, max_ratio, last):
+        assert main(["sweep", "--workload", "kmeans", "--iterations", "1",
+                     "--time-scale", "0.03", "--step", step,
+                     "--max-ratio", max_ratio]) == 0
+        rows = [line.split()[0] for line in capsys.readouterr().out.splitlines()
+                if line.strip()[:1].isdigit()]
+        n_points = round(float(last) / float(step)) + 1
+        assert rows[:n_points] == [f"{float(step) * i:.2f}"
+                                   for i in range(n_points)]
+        assert rows[n_points - 1] == last
+        assert rows[n_points:] == []
+
+    @pytest.mark.parametrize("flags", [
+        ["--step", "0"],
+        ["--step", "-0.1"],
+        ["--max-ratio", "1.5"],
+        ["--max-ratio", "-0.1"],
+    ])
+    def test_sweep_rejects_bad_grid(self, capsys, flags):
+        assert main(["sweep", "--workload", "kmeans", *flags]) == 2
+        err = capsys.readouterr().err
+        assert "error:" in err and "Traceback" not in err
 
     def test_sweep_resume_without_run_dir_errors(self, capsys):
         assert main(["sweep", "--workload", "kmeans", "--resume"]) == 2
