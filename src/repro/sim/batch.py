@@ -35,6 +35,14 @@ stalls — run through the *real* control classes (``WmaFrequencyScaler``,
 ``OndemandGovernor``, ``WorkloadDivider``, ``TraceRecorder``) held per
 lane, so tier-2 learning state is the genuine article rather than a clone.
 
+Only two callers send batches here: the static-division sweep (one
+workload at many ratios, tens to hundreds of lanes) and the policy
+comparison (a handful of lanes).  The mechanisms kept are the ones that
+traffic pays for: roofline estimates memoized by exact arguments, donor
+systems and rate columns shared between lanes at equal frequency levels,
+a vectorized iteration restart, and a scalar walk for ticks where one or
+two heads complete.  Every other head advance takes one index loop.
+
 The engine only accepts runs that the scalar fast path would execute on a
 fresh default testbed with no faults, no audit/telemetry instrumentation,
 and no warmup (see :mod:`repro.runtime.batch_executor` for the dispatch
@@ -119,8 +127,8 @@ class _Lane:
     c_phases: list = field(default_factory=list)
     g_npre: int = 0
     segs_units: float = -1.0  # units the templates were built for
-    # Precomputed row columns for the segment tables (shared via the
-    # engine's template memo; valid for the rates they were built at).
+    # Row columns staged by _build_segments for _write_segment_rows:
+    # (kinds, durs, ests, ucs, ums, cests, cucs, cums).
     row_cache: tuple = ()
 
     @property
@@ -139,7 +147,7 @@ class _LaneDonor:
     meters, all of which the lockstep engine re-expresses as arrays; a
     lane only ever reads the devices' specs/frequency state, the bus,
     and the config constants, so skipping the rest roughly halves lane
-    setup at fleet-scale batch widths.
+    setup of a 256-lane sweep.
     """
 
     __slots__ = ("gpu", "cpu", "bus", "config")
@@ -238,14 +246,6 @@ class _BatchEngine:
         # Parameter grids repeat demand tuples heavily (same workload at
         # many ratios/levels), making this the dominant setup saving.
         self._est_memo: dict[tuple, tuple[float, float, float]] = {}
-        # Identity-level front for _est_memo: phase lists repeat the same
-        # few PhaseDemand objects, and the objects are kept alive by the
-        # segment memo below, so ids stay unambiguous for engine lifetime.
-        self._est_by_id: dict[tuple, tuple[float, float, float]] = {}
-        # Segment-template memo: lanes sweeping the same workload hit the
-        # same (cpu_units, gpu_units) splits; the templates are read-only
-        # so they are safely shared across lanes and iterations.
-        self._seg_memo: dict[tuple, tuple[list, list]] = {}
 
         f64 = lambda: np.zeros(L, dtype=np.float64)  # noqa: E731
         self.now = f64()
@@ -387,6 +387,27 @@ class _BatchEngine:
             self._est_memo[key] = hit
         return hit
 
+    def _estimate_phases(self, roofline, phases: list, rate: float,
+                         bandwidth: float) -> list[tuple[float, float, float]]:
+        """``_estimate`` for each phase of one queue at fixed rates.
+
+        gpu_phases interleaves a handful of distinct PhaseDemand objects
+        many times over, so a bare-id dict resolves the repeats without a
+        key tuple per segment.  It lives only for this call, while the
+        caller holds ``phases``, so no id can be reused under it.
+        """
+        local: dict[int, tuple[float, float, float]] = {}
+        out = []
+        for phase in phases:
+            est3 = local.get(id(phase))
+            if est3 is None:
+                est3 = local[id(phase)] = self._estimate(
+                    roofline, phase.flops, phase.bytes, rate, bandwidth,
+                    phase.stall_s,
+                )
+            out.append(est3)
+        return out
+
     # -- segment tables -------------------------------------------------------
 
     def _build_segments(self, i: int, cpu_units: float, gpu_units: float) -> None:
@@ -395,119 +416,52 @@ class _BatchEngine:
         workload = lane.workload
         index = int(self.iter_i[i])
         gpu = system.gpu
-        roofline = gpu.spec.roofline
-        exp = roofline.overlap_exponent
-        rate = gpu.compute_rate
-        bw = gpu.bandwidth
         cpu = system.cpu
-        croof = cpu.spec.roofline
-        cexp = croof.overlap_exponent
-        crate = cpu.compute_rate
-        cbw = cpu.spec.host_bandwidth
-        # Demand-model phase lists are iteration-invariant (the table
-        # reuse below already relies on that), and the precomputed row
-        # columns additionally depend on the current device rates — so
-        # the memo is keyed by (split, rates) and shared between lanes
-        # running at equal frequency levels.
-        memo_key = (id(workload), cpu_units, gpu_units, rate, bw, crate, cbw)
-        hit = self._seg_memo.get(memo_key)
-        if hit is None:
-            # Kernel segments sit in one contiguous block between the
-            # leading transfers and the trailing d2h, so the row columns
-            # assemble from constant prefixes/suffixes plus one memoized
-            # estimate lookup per phase — no per-segment branching.
-            ememo = self._est_memo
-            idmemo = self._est_by_id
-            phases: list = []
-            npre = 0
-            kinds: list = []
-            durs: list = []
-            gtrip: list = []
-            if gpu_units > 0.0:
-                pre = [system.bus.transfer_time(
-                    workload.h2d_bytes(gpu_units))]
-                if gpu.spec.launch_overhead_s > 0.0:
-                    pre.append(gpu.spec.launch_overhead_s)
-                npre = len(pre)
-                phases = workload.gpu_phases(gpu_units, index)
-                # gpu_phases interleaves a handful of distinct PhaseDemand
-                # objects many times over; rate/bw are fixed for this
-                # build, so a local bare-id dict resolves the repeats
-                # without building a key tuple per segment.  The engine
-                # memo (idmemo, rate-qualified and kept safe by the memo
-                # retaining the phase lists) still shares across builds.
-                add = gtrip.append
-                local: dict = {}
-                for phase in phases:
-                    pid = id(phase)
-                    est3 = local.get(pid)
-                    if est3 is None:
-                        ikey = (pid, rate, bw)
-                        est3 = idmemo.get(ikey)
-                        if est3 is None:
-                            key = (exp, phase.flops, phase.bytes, rate, bw,
-                                   phase.stall_s)
-                            est3 = ememo.get(key)
-                            if est3 is None:
-                                est = roofline.estimate(
-                                    phase.flops, phase.bytes, rate, bw,
-                                    phase.stall_s)
-                                est3 = (est.seconds, est.u_core, est.u_mem)
-                                ememo[key] = est3
-                            idmemo[ikey] = est3
-                        local[pid] = est3
-                    add(est3)
-                d2h = system.bus.transfer_time(
-                    workload.d2h_bytes(gpu_units))
-                kinds = ([_TRANSFER] * npre + [_KERNEL] * len(phases)
-                         + [_TRANSFER])
-                durs = pre + [0.0] * len(phases) + [d2h]
-                zpre = [0.0] * npre
-                ges, guc, gum = zip(*gtrip) if gtrip else ((), (), ())
-                ests = zpre + list(ges) + [0.0]
-                ucs = zpre + list(guc) + [0.0]
-                ums = zpre + list(gum) + [0.0]
-            else:
-                ests = []
-                ucs = []
-                ums = []
-            cphases: list = []
-            ctrip: list = []
-            if cpu_units > 0.0:
-                cphases = workload.cpu_phases(cpu_units, index)
-                add = ctrip.append
-                for phase in cphases:
-                    ikey = (id(phase), crate, cbw)
-                    est3 = idmemo.get(ikey)
-                    if est3 is None:
-                        key = (cexp, phase.flops, phase.bytes, crate, cbw,
-                               phase.stall_s)
-                        est3 = ememo.get(key)
-                        if est3 is None:
-                            est = croof.estimate(phase.flops, phase.bytes,
-                                                 crate, cbw, phase.stall_s)
-                            est3 = (est.seconds, est.u_core, est.u_mem)
-                            ememo[key] = est3
-                        idmemo[ikey] = est3
-                    add(est3)
-            cests = [t[0] for t in ctrip]
-            cucs = [t[1] for t in ctrip]
-            cums = [t[2] for t in ctrip]
-            hit = (phases, npre, cphases, kinds, durs, ests, ucs, ums,
-                   cests, cucs, cums)
-            self._seg_memo[memo_key] = hit
-        lane.g_phases = hit[0]
-        lane.g_npre = hit[1]
-        lane.c_phases = hit[2]
-        lane.row_cache = hit
+        # Kernel segments sit in one contiguous block between the leading
+        # transfers and the trailing d2h, so the row columns assemble from
+        # constant prefixes/suffixes plus one memoized estimate per phase.
+        phases: list = []
+        npre = 0
+        kinds: list = []
+        durs: list = []
+        ests: list = []
+        ucs: list = []
+        ums: list = []
+        if gpu_units > 0.0:
+            pre = [system.bus.transfer_time(workload.h2d_bytes(gpu_units))]
+            if gpu.spec.launch_overhead_s > 0.0:
+                pre.append(gpu.spec.launch_overhead_s)
+            npre = len(pre)
+            phases = workload.gpu_phases(gpu_units, index)
+            gtrip = self._estimate_phases(
+                gpu.spec.roofline, phases, gpu.compute_rate, gpu.bandwidth)
+            d2h = system.bus.transfer_time(workload.d2h_bytes(gpu_units))
+            kinds = [_TRANSFER] * npre + [_KERNEL] * len(phases) + [_TRANSFER]
+            durs = pre + [0.0] * len(phases) + [d2h]
+            zpre = [0.0] * npre
+            ests = zpre + [t[0] for t in gtrip] + [0.0]
+            ucs = zpre + [t[1] for t in gtrip] + [0.0]
+            ums = zpre + [t[2] for t in gtrip] + [0.0]
+        cphases: list = []
+        if cpu_units > 0.0:
+            cphases = workload.cpu_phases(cpu_units, index)
+        ctrip = self._estimate_phases(
+            cpu.spec.roofline, cphases, cpu.compute_rate,
+            cpu.spec.host_bandwidth)
+        lane.g_phases = phases
+        lane.g_npre = npre
+        lane.c_phases = cphases
+        lane.row_cache = (kinds, durs, ests, ucs, ums,
+                          [t[0] for t in ctrip], [t[1] for t in ctrip],
+                          [t[2] for t in ctrip])
         lane.segs_units = gpu_units
 
     def _alloc_segment_arrays(self) -> None:
         L = len(self.lanes)
-        # row_cache[3] is the GPU kind column, row_cache[8] the CPU
+        # row_cache[0] is the GPU kind column, row_cache[5] the CPU
         # estimate column — their lengths are the per-lane row widths.
-        gs = max(1, max(len(lane.row_cache[3]) for lane in self.lanes))
-        cs = max(1, max(len(lane.row_cache[8]) for lane in self.lanes))
+        gs = max(1, max(len(lane.row_cache[0]) for lane in self.lanes))
+        cs = max(1, max(len(lane.row_cache[5]) for lane in self.lanes))
         self.gseg_kind = np.full((L, gs), _IDLE, dtype=np.int8)
         self.gseg_dur = np.zeros((L, gs))
         self.gseg_est = np.zeros((L, gs))
@@ -517,22 +471,13 @@ class _BatchEngine:
         self.cseg_est = np.zeros((L, cs))
         self.cseg_uc = np.zeros((L, cs))
         self.cseg_um = np.zeros((L, cs))
-        # Running floor over every row's segment count, only ever
-        # lowered, so `p0 < _g_nseg_min` safely gates whole-column head
-        # loads without a per-advance cohort gather.
-        self._g_nseg_min = gs + 1
-        # Per-column "has a zero-time segment" flags, rebuilt lazily
-        # after any row write; a clean column lets the advance skip its
-        # whole-array drain probe.
-        self._gcol_zero: np.ndarray | None = None
 
     def _write_segment_rows(self, i: int) -> None:
-        # Row columns were staged (and memo-shared) by _build_segments;
-        # storing is one slice assign per array — tens of scalar
-        # `arr[i, s] = x` writes per lane would dominate setup at fleet-
-        # scale batch widths.
-        (_p, _n, _cp, kinds, durs, ests, ucs, ums,
-         cests, cucs, cums) = self.lanes[i].row_cache
+        # Row columns were staged by _build_segments; storing is one
+        # slice assign per array — tens of scalar `arr[i, s] = x` writes
+        # per lane would dominate setup of a 256-lane sweep.
+        kinds, durs, ests, ucs, ums, cests, cucs, cums = \
+            self.lanes[i].row_cache
         n = len(kinds)
         self.gseg_kind[i, :n] = kinds
         self.gseg_dur[i, :n] = durs
@@ -546,9 +491,6 @@ class _BatchEngine:
         self.cseg_uc[i, :m] = cucs
         self.cseg_um[i, :m] = cums
         self.c_nseg[i] = m
-        if n < self._g_nseg_min:
-            self._g_nseg_min = n
-        self._gcol_zero = None
 
     def _write_segment_walls(self, i: int) -> None:
         # Per-segment wall watts: the exact meter expression
@@ -565,34 +507,17 @@ class _BatchEngine:
             + self.OVH2
         ) / self.EFF2
 
-    def _refresh_gcol_zero(self) -> np.ndarray:
-        # Rows beyond a lane's segment count sit at kind == _IDLE and
-        # match neither arm, so they never mark a column.  False
-        # positives (another lane's zero-time segment in the same
-        # column) only cost the probe they would have run anyway.
-        zm = np.where(
-            self.gseg_kind == _TRANSFER, self.gseg_dur <= _EPS,
-            (self.gseg_kind == _KERNEL) & (self.gseg_est <= _EPS),
-        )
-        self._gcol_zero = zm.any(axis=0)
-        return self._gcol_zero
-
     def _reestimate_gpu_row(self, i: int) -> None:
         lane = self.lanes[i]
         gpu = lane.system.gpu
-        roofline = gpu.spec.roofline
-        for s, phase in enumerate(lane.g_phases, start=lane.g_npre):
-            sec, uc, um = self._estimate(
-                roofline, phase.flops, phase.bytes, gpu.compute_rate,
-                gpu.bandwidth, phase.stall_s,
-            )
+        trip = self._estimate_phases(gpu.spec.roofline, lane.g_phases,
+                                     gpu.compute_rate, gpu.bandwidth)
+        for s, (sec, uc, um) in enumerate(trip, start=lane.g_npre):
             self.gseg_est[i, s] = sec
             self.gseg_uc[i, s] = uc
             self.gseg_um[i, s] = um
-        # Frequencies changed, so every wall-power entry is stale — and
-        # so are the column zero-time flags the new estimates feed.
+        # Frequencies changed, so every wall-power entry is stale.
         self._write_segment_walls(i)
-        self._gcol_zero = None
         # In-flight kernels keep their fraction and re-time the remainder.
         if self.g_kind[i] == _KERNEL:
             p = int(self.g_ptr[i])
@@ -608,12 +533,9 @@ class _BatchEngine:
     def _reestimate_cpu_row(self, i: int) -> None:
         lane = self.lanes[i]
         cpu = lane.system.cpu
-        croof = cpu.spec.roofline
-        for s, phase in enumerate(lane.c_phases):
-            sec, uc, um = self._estimate(
-                croof, phase.flops, phase.bytes, cpu.compute_rate,
-                cpu.spec.host_bandwidth, phase.stall_s,
-            )
+        trip = self._estimate_phases(cpu.spec.roofline, lane.c_phases,
+                                     cpu.compute_rate, cpu.spec.host_bandwidth)
+        for s, (sec, uc, um) in enumerate(trip):
             self.cseg_est[i, s] = sec
             self.cseg_uc[i, s] = uc
             self.cseg_um[i, s] = um
@@ -797,57 +719,27 @@ class _BatchEngine:
             self.spin[i] = False
         lane.last_ratio = r
         cpu_units, gpu_units = split_units(1.0, r)
-        rebuild = gpu_units != lane.segs_units
-        if rebuild:
+        if gpu_units != lane.segs_units:
             self._build_segments(i, cpu_units, gpu_units)
             self._write_segment_rows(i)
-        self._begin_iteration_state(i)
-
-    def _begin_iteration_state(self, i: int) -> None:
-        lane = self.lanes[i]
-        r = lane.last_ratio
-        cpu_units, gpu_units = split_units(1.0, r)
-        t0 = float(self.now[i])
-        self.t0_it[i] = t0
-        self.e0_cpu[i] = self.mc_e[i]
-        self.e0_gpu[i] = self.mg_e[i]
-        self.e0_tot[i] = float(self.mc_e[i]) + float(self.mg_e[i])
         self.r_it[i] = r
         self.cpu_units[i] = cpu_units
         self.gpu_units[i] = gpu_units
-        self.g_ptr[i] = 0
-        self.c_ptr[i] = 0
-        if gpu_units > 0.0:
-            self._load_gpu_head(i)
-        else:
-            self.g_kind[i] = _IDLE
-            self.g_uc[i] = 0.0
-            self.g_um[i] = 0.0
-            self.g_wall[i] = self.g_wall_idle[i]
-            self.g_rem[i] = np.inf
-        if cpu_units > 0.0:
-            self._load_cpu_head(i)
-        else:
-            self.c_kind[i] = _IDLE
-            self.c_est[i] = np.inf
-        self.gpu_done[i] = np.nan if gpu_units > 0.0 else t0
-        self.cpu_done[i] = np.nan if cpu_units > 0.0 else t0
-        self.g_pending[i] = gpu_units > 0.0
-        self.c_pending[i] = cpu_units > 0.0
-        self.it_dl[i] = t0 + lane.iteration_timeout_s
-        if lane.sync_spin and cpu_units <= 0.0 and gpu_units > 0.0:
-            self.spin[i] = True
+        self._begin_iterations_bulk(np.array([i]))
 
     def _begin_iterations_bulk(self, idx: np.ndarray) -> None:
-        """Vectorized ``_begin_iteration_state`` for same-ratio restarts.
+        """Start the next iteration of every lane in ``idx``.
 
         Valid only when ``r_it``/``cpu_units``/``gpu_units`` and the
         segment rows already describe the lanes' next iteration — true at
-        construction (the setup loop fills them) and at every boundary of
-        a divider-less lane (the ratio is pinned, so nothing rebuilds).
+        construction (the setup loop fills them), at every boundary of a
+        divider-less lane (the ratio is pinned, so nothing rebuilds), and
+        after ``_start_iteration`` has repartitioned a divider lane.
         Iteration restarts happen batch-wide on the same tick for lanes
         with equal segment counts, so this replaces the dominant per-lane
-        Python cost of static sweeps with a dozen array ops.
+        Python cost of static sweeps with a dozen array ops.  It leaves
+        ``g_uc``/``g_um`` alone for GPU-less lanes: a lane reaches its
+        barrier with the GPU head drained, which already zeroed them.
         """
         t0 = self.now[idx]
         self.t0_it[idx] = t0
@@ -987,42 +879,17 @@ class _BatchEngine:
         """Scalar pop-and-drain for one lane (see _advance_completed_heads)."""
         while True:
             self.g_ptr[i] += 1
-            p = self.g_ptr[i]
-            if p >= self.g_nseg[i]:
-                self.g_kind[i] = _IDLE
-                self.g_uc[i] = 0.0
-                self.g_um[i] = 0.0
-                self.g_wall[i] = self.g_wall_idle[i]
-                self.g_rem[i] = np.inf
-                return
-            kind = int(self.gseg_kind[i, p])
-            rr = self.gseg_dur[i, p]
-            ee = self.gseg_est[i, p]
-            self.g_kind[i] = kind
-            self.g_rem[i] = rr
-            self.g_est[i] = ee
-            self.g_uc[i] = self.gseg_uc[i, p]
-            self.g_um[i] = self.gseg_um[i, p]
-            self.g_wall[i] = self.gseg_pw[i, p]
-            self.g_frac[i] = 0.0
-            if (rr > _EPS) if kind == _TRANSFER else (ee > _EPS):
+            self._load_gpu_head(i)
+            # Idle heads hold g_rem == +inf, so they stop the drain too.
+            left = self.g_est[i] if self.g_kind[i] == _KERNEL else self.g_rem[i]
+            if left > _EPS:
                 return
 
     def _advance_one_cpu(self, i: int) -> None:
         while True:
             self.c_ptr[i] += 1
-            p = self.c_ptr[i]
-            if p >= self.c_nseg[i]:
-                self.c_kind[i] = _IDLE
-                self.c_est[i] = np.inf
-                return
-            ee = self.cseg_est[i, p]
-            self.c_kind[i] = _KERNEL
-            self.c_est[i] = ee
-            self.c_uc[i] = self.cseg_uc[i, p]
-            self.c_um[i] = self.cseg_um[i, p]
-            self.c_frac[i] = 0.0
-            if ee > _EPS:
+            self._load_cpu_head(i)
+            if self.c_est[i] > _EPS:  # +inf when the queue drained
                 return
 
     def _advance_completed_heads(self, g_adv: np.ndarray, c_adv: np.ndarray) -> None:
@@ -1041,85 +908,6 @@ class _BatchEngine:
             for i in idx:
                 self._advance_one_gpu(int(i))
             idx = _EMPTY_IDX
-        elif idx.size > 8:
-            # Same-workload lanes complete segments in lockstep, so large
-            # cohorts almost always share one queue pointer; the gather
-            # then collapses to scalar-column copies.  Live heads are
-            # never zero-time (they would have drained at load), so the
-            # whole-array zero probe below only fires for cohort lanes.
-            uni = self.g_ptr[idx]
-            if (uni == uni[0]).all():
-                p0 = int(uni[0]) + 1
-                if (idx.size >= self.act.shape[0] - 4
-                        and p0 < self._g_nseg_min):
-                    # Near-full cohort: whole-column copies are several
-                    # times cheaper than per-lane gathers, so stash the
-                    # few straggler heads, copy the column over everyone,
-                    # and put the stragglers back.  Column p0 is inside
-                    # the table for every row (width == max segment
-                    # count), so the transiently clobbered straggler
-                    # values are in-bounds garbage, never reads past the
-                    # row.
-                    rest = (~g_adv).nonzero()[0].tolist()
-                    saved = [
-                        (int(self.g_ptr[j]), int(self.g_kind[j]),
-                         float(self.g_rem[j]), float(self.g_est[j]),
-                         float(self.g_uc[j]), float(self.g_um[j]),
-                         float(self.g_wall[j]), float(self.g_frac[j]))
-                        for j in rest
-                    ]
-                    self.g_ptr += 1
-                    self.g_kind[:] = self.gseg_kind[:, p0]
-                    self.g_rem[:] = self.gseg_dur[:, p0]
-                    self.g_est[:] = self.gseg_est[:, p0]
-                    self.g_uc[:] = self.gseg_uc[:, p0]
-                    self.g_um[:] = self.gseg_um[:, p0]
-                    self.g_wall[:] = self.gseg_pw[:, p0]
-                    self.g_frac[:] = 0.0
-                    for j, s in zip(rest, saved):
-                        self.g_ptr[j] = s[0]
-                        self.g_kind[j] = s[1]
-                        self.g_rem[j] = s[2]
-                        self.g_est[j] = s[3]
-                        self.g_uc[j] = s[4]
-                        self.g_um[j] = s[5]
-                        self.g_wall[j] = s[6]
-                        self.g_frac[j] = s[7]
-                    # Restored straggler heads are idle or non-zero-time
-                    # (live heads drain at load), so the whole-array
-                    # probe only fires for cohort lanes — and a column
-                    # with no zero-time segments skips it outright.
-                    gz = self._gcol_zero
-                    if gz is None:
-                        gz = self._refresh_gcol_zero()
-                    if gz[p0]:
-                        zm = np.where(
-                            self.g_kind == _TRANSFER, self.g_rem <= _EPS,
-                            (self.g_kind == _KERNEL) & (self.g_est <= _EPS),
-                        )
-                        idx = zm.nonzero()[0]
-                    else:
-                        idx = _EMPTY_IDX
-                elif p0 < int(self.g_nseg[idx].min()):
-                    self.g_ptr[idx] = p0
-                    self.g_kind[idx] = self.gseg_kind[idx, p0]
-                    self.g_rem[idx] = self.gseg_dur[idx, p0]
-                    self.g_est[idx] = self.gseg_est[idx, p0]
-                    self.g_uc[idx] = self.gseg_uc[idx, p0]
-                    self.g_um[idx] = self.gseg_um[idx, p0]
-                    self.g_wall[idx] = self.gseg_pw[idx, p0]
-                    self.g_frac[idx] = 0.0
-                    gz = self._gcol_zero
-                    if gz is None:
-                        gz = self._refresh_gcol_zero()
-                    if gz[p0]:
-                        zm = np.where(
-                            self.g_kind == _TRANSFER, self.g_rem <= _EPS,
-                            (self.g_kind == _KERNEL) & (self.g_est <= _EPS),
-                        )
-                        idx = zm.nonzero()[0]
-                    else:
-                        idx = _EMPTY_IDX
         while idx.size:
             self.g_ptr[idx] += 1
             p = self.g_ptr[idx]

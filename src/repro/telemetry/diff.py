@@ -24,6 +24,7 @@ deterministic), which is what makes ``repro diff A B
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 from typing import Any, Iterable
@@ -196,11 +197,16 @@ def diff_runs(dir_a: str | os.PathLike[str],
 # -- thresholds (`--fail-on energy=2%`) --------------------------------
 
 
-def parse_fail_on(specs: Iterable[str] | None) -> dict[str, float]:
-    """Parse ``key=value[%]`` threshold specs (comma- or flag-separated).
+def parse_fail_on(specs: Iterable[str] | None,
+                  keys: tuple[str, ...] = RELATIVE_KEYS + COUNT_KEYS,
+                  percent_keys: tuple[str, ...] = RELATIVE_KEYS,
+                  ) -> dict[str, float]:
+    """Parse ``key=value[%]`` gate specs (comma- or flag-separated).
 
-    Keys: ``energy`` and ``time`` (relative, percent or fraction) and
-    ``flips`` (absolute count delta).
+    The default keys are ``diff``'s: ``energy`` and ``time`` (relative,
+    percent or fraction) and ``flips`` (absolute count delta).  Only
+    ``percent_keys`` take a ``%`` suffix.  Values must be finite and
+    non-negative: a NaN limit compares false and would pass every gate.
     """
     thresholds: dict[str, float] = {}
     for spec in specs or ():
@@ -210,25 +216,24 @@ def parse_fail_on(specs: Iterable[str] | None) -> dict[str, float]:
                 continue
             key, sep, raw = part.partition("=")
             key = key.strip().lower()
-            if not sep or key not in RELATIVE_KEYS + COUNT_KEYS:
+            if not sep or key not in keys:
                 raise ConfigError(
                     f"bad --fail-on spec {part!r}; expected "
-                    f"key=value with key in "
-                    f"{sorted(RELATIVE_KEYS + COUNT_KEYS)}"
+                    f"key=value with key in {sorted(keys)}"
                 )
             raw = raw.strip()
+            percent = key in percent_keys and raw.endswith("%")
             try:
-                if key in RELATIVE_KEYS:
-                    value = (float(raw[:-1]) / 100.0 if raw.endswith("%")
-                             else float(raw))
-                else:
-                    value = float(raw)
+                value = float(raw[:-1]) / 100.0 if percent else float(raw)
             except ValueError:
                 raise ConfigError(
                     f"bad --fail-on value {raw!r} for {key!r}"
                 ) from None
-            if value < 0.0:
-                raise ConfigError(f"--fail-on {key} threshold must be >= 0")
+            if not math.isfinite(value) or value < 0.0:
+                raise ConfigError(
+                    f"--fail-on {key} threshold must be a finite number "
+                    f">= 0, got {raw!r}"
+                )
             thresholds[key] = value
     return thresholds
 

@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from typing import Any, Iterable
 
 from repro.errors import ConfigError, SerializationError
+from repro.telemetry.diff import parse_fail_on as parse_gates
 from repro.telemetry.exporters import EVENTS_NAME, SNAPSHOT_NAME, read_events
 from repro.telemetry.registry import MetricsRegistry
 
@@ -333,23 +334,7 @@ def format_slo_report(results: list[SloResult]) -> str:
 
 def parse_fail_on(pairs: list[str] | None) -> dict[str, float]:
     """Parse ``--fail-on`` gates: ``violations=N`` and/or ``burn=X``."""
-    gates: dict[str, float] = {}
-    for chunk in pairs or []:
-        for pair in chunk.split(","):
-            pair = pair.strip()
-            if not pair:
-                continue
-            key, sep, raw = pair.partition("=")
-            key = key.strip()
-            if not sep or key not in ("violations", "burn"):
-                raise ConfigError(
-                    f"--fail-on expects violations=N or burn=X, got {pair!r}"
-                )
-            try:
-                gates[key] = float(raw)
-            except ValueError as exc:
-                raise ConfigError(f"--fail-on {pair!r}: not a number") from exc
-    return gates
+    return parse_gates(pairs, keys=("violations", "burn"), percent_keys=())
 
 
 def check_slos(results: list[SloResult],

@@ -57,6 +57,14 @@ def _scalar(request: BatchRunRequest):
     )
 
 
+#: Tier-1 runs the oracle as a 10-example smoke test.  Any profile loaded
+#: with ``--hypothesis-profile`` (the nightly ``ci-long`` job) sets the
+#: count instead: a hard-coded ``max_examples`` would override it.
+ORACLE_EXAMPLES = (
+    10 if settings.get_current_profile_name() == "default"
+    else settings.default.max_examples
+)
+
 #: One lane's free parameters.  Ratios are raw floats (not a grid) so the
 #: divider/partition math is exercised off the usual 0.05 lattice.
 LANE = st.tuples(
@@ -74,7 +82,7 @@ class TestLaneEquivalence:
         time_scale=st.sampled_from([0.05, 0.1]),
         sync_spin=st.booleans(),
     )
-    @settings(max_examples=10, deadline=None)
+    @settings(max_examples=ORACLE_EXAMPLES, deadline=None)
     def test_batch_lane_matches_scalar_run(self, lanes, time_scale,
                                            sync_spin):
         requests = [
@@ -112,6 +120,17 @@ class TestLaneEquivalenceDeterministic:
         requests = [
             _request("kmeans", "static", 0.0, 0, 2, 0.05),
             _request("kmeans", "static", 1.0, 0, 2, 0.05),
+        ]
+        for request, result in zip(requests, run_batch(requests)):
+            assert result_to_dict(result) == result_to_dict(_scalar(request))
+
+    def test_full_static_division_sweep(self):
+        """A 21-lane ``sweep_divisions``-shaped batch: wide cohorts of
+        lanes complete heads on the same tick, at the same and at
+        different queue positions."""
+        requests = [
+            _request("kmeans", "static", k / 20, 0, 2, 0.05)
+            for k in range(21)
         ]
         for request, result in zip(requests, run_batch(requests)):
             assert result_to_dict(result) == result_to_dict(_scalar(request))

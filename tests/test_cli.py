@@ -1,8 +1,14 @@
 """Tests for the greengpu CLI."""
 
+import os
+
 import pytest
 
 from repro.cli import main
+
+#: Committed reference telemetry: kmeans, three iterations, time scale 0.05.
+GOLDEN_RUN = os.path.join(os.path.dirname(__file__), "golden",
+                          "kmeans-greengpu")
 
 
 @pytest.fixture
@@ -422,6 +428,29 @@ class TestDiff:
         assert main(["diff", audited_run, audited_run,
                      "--fail-on", "watts=2%"]) == 2
         assert "bad --fail-on" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("limit", ["nan", "inf"])
+    def test_diff_non_finite_gate_exits_2(self, capsys, audited_run, limit):
+        # The golden run has three iterations to this run's two, so the
+        # energy gate trips; a NaN limit compares false and would pass it.
+        assert main(["diff", GOLDEN_RUN, audited_run,
+                     "--fail-on", "energy=2%"]) == 1
+        capsys.readouterr()
+        assert main(["diff", GOLDEN_RUN, audited_run,
+                     "--fail-on", f"energy={limit}"]) == 2
+        assert "finite number >= 0" in capsys.readouterr().err
+
+
+class TestSloCheck:
+    @pytest.mark.parametrize("gate", ["violations=nan", "violations=-1",
+                                      "burn=inf", "burn=2%"])
+    def test_bad_gate_value_exits_2(self, capsys, audited_run, gate):
+        assert main(["slo", "check", audited_run, "--fail-on", gate]) == 2
+        assert "--fail-on" in capsys.readouterr().err
+
+    def test_gate_passes_a_clean_run(self, capsys, audited_run):
+        assert main(["slo", "check", audited_run,
+                     "--fail-on", "violations=0"]) == 0
 
 
 class TestReport:
