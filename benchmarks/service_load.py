@@ -111,7 +111,7 @@ def main(argv: list[str] | None = None) -> int:
 
     tmp = tempfile.mkdtemp(prefix="greengpu-service-load-")
     config = ServiceConfig(
-        port=0, workers=2, isolate=False,
+        port=0, workers=2,
         rate_per_tenant=10_000.0, burst_per_tenant=10_000.0,
         tenant_queue_limit=512, global_high_water=2048,
     )

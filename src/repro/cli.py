@@ -57,40 +57,17 @@ from collections.abc import Sequence
 
 from repro.analysis.report import comparison_report, run_report
 from repro.analysis.tables import format_table
-from repro.core.policies import (
-    BestPerformancePolicy,
-    DivisionOnlyPolicy,
-    FrequencyScalingOnlyPolicy,
-    GreenGpuPolicy,
-    Policy,
-    RodiniaDefaultPolicy,
-)
+from repro.core.policies import POLICY_FACTORIES, Policy, make_policy
 from repro.errors import ConfigError, ReproError
 from repro.experiments.common import scaled_config, scaled_options, scaled_workload
 from repro.faults.injector import FAULT_PROFILES, fault_profile
 from repro.runtime.executor import run_workload
 from repro.workloads.characteristics import workload_names
 
-POLICY_FACTORIES = {
-    "greengpu": lambda cfg: GreenGpuPolicy(config=cfg),
-    "division-only": lambda cfg: DivisionOnlyPolicy(config=cfg),
-    "scaling-only": lambda cfg: FrequencyScalingOnlyPolicy(config=cfg),
-    "best-performance": lambda cfg: BestPerformancePolicy(),
-    "rodinia-default": lambda cfg: RodiniaDefaultPolicy(),
-}
-
-
-def _make_policy(
-    name: str, time_scale: float, args: argparse.Namespace | None = None
-) -> Policy:
-    try:
-        factory = POLICY_FACTORIES[name]
-    except KeyError:
-        raise ConfigError(
-            f"unknown policy {name!r}; choose from {sorted(POLICY_FACTORIES)}"
-        ) from None
-    policy = factory(scaled_config(time_scale))
-    profile = getattr(args, "faults", "none") if args is not None else "none"
+def _make_policy(name: str, time_scale: float,
+                 args: argparse.Namespace) -> Policy:
+    policy = make_policy(name, scaled_config(time_scale))
+    profile = getattr(args, "faults", "none")
     if profile != "none":
         policy = policy.with_faults(
             fault_profile(profile, seed=getattr(args, "fault_seed", 0))
@@ -836,7 +813,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=8100,
                    help="TCP port (0 binds an ephemeral port)")
     p.add_argument("--workers", type=int, default=2,
-                   help="concurrent spawn-isolated simulation workers")
+                   help="concurrent simulation worker processes")
     p.add_argument("--run-dir", default="runs/service", metavar="DIR",
                    help="journal + artifact directory (resume point)")
     p.add_argument("--cache-dir", default=None, metavar="DIR",
@@ -851,9 +828,6 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="SECONDS", dest="job_timeout_s")
     p.add_argument("--drain-timeout", type=float, default=30.0,
                    metavar="SECONDS", dest="drain_timeout_s")
-    p.add_argument("--no-isolate", action="store_true",
-                   help="run jobs in threads instead of spawned processes "
-                        "(faster, but no kill-on-timeout; for testing)")
     p.add_argument("--telemetry", default=None, metavar="DIR",
                    help="export per-job worker telemetry under DIR and "
                         "merge it (plus the daemon's own stream) into one "

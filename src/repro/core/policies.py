@@ -189,3 +189,25 @@ def GreenGpuPolicy(
         cpu_level=0,
         config=cfg,
     )
+
+
+#: The policies the CLI and the service run by name, each built from a
+#: controller config (the pinned baselines ignore it).
+POLICY_FACTORIES = {
+    "greengpu": lambda cfg: GreenGpuPolicy(config=cfg),
+    "division-only": lambda cfg: DivisionOnlyPolicy(config=cfg),
+    "scaling-only": lambda cfg: FrequencyScalingOnlyPolicy(config=cfg),
+    "best-performance": lambda cfg: BestPerformancePolicy(),
+    "rodinia-default": lambda cfg: RodiniaDefaultPolicy(),
+}
+
+
+def make_policy(name: str, config: GreenGpuConfig) -> Policy:
+    """The policy registered as ``name``; unknown names are a ConfigError."""
+    try:
+        factory = POLICY_FACTORIES[name]
+    except KeyError:
+        raise ConfigError(
+            f"unknown policy {name!r}; choose from {sorted(POLICY_FACTORIES)}"
+        ) from None
+    return factory(config)

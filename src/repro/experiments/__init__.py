@@ -10,33 +10,6 @@ Simulated time is cheap but not free, so every experiment accepts a
 ``time_scale`` that shrinks iteration lengths and the controller periods
 *together* (preserving the tier-decoupling ratio).  ``time_scale=1.0``
 reproduces the paper's full-length runs; the benchmark harness uses
-smaller scales.
+smaller scales.  Submodules load on demand, never here, so ``python -m``
+does not find the one it runs already imported.
 """
-
-from repro.experiments import (
-    common,
-    fig1,
-    fig2,
-    fig5,
-    fig6,
-    fig7,
-    fig8,
-    headline,
-    sensitivity,
-    suite,
-    table2,
-)
-
-__all__ = [
-    "common",
-    "fig1",
-    "fig2",
-    "table2",
-    "fig5",
-    "fig6",
-    "fig7",
-    "fig8",
-    "headline",
-    "sensitivity",
-    "suite",
-]

@@ -18,7 +18,7 @@ engine, and coordinates them under a datacenter power budget:
   :class:`~repro.sim.platform.HeteroSystem` plus controller, with power
   caps enforced as frequency-ladder ceilings;
 - :mod:`repro.fleet.sim` / :mod:`repro.fleet.shard` — the
-  :class:`FleetSim` orchestrator riding the harness's spawn-isolated
+  :class:`FleetSim` orchestrator riding the harness's isolated
   workers for sharded execution, with fleet-level telemetry merge.
 
 Entry points: ``greengpu fleet`` (CLI) and

@@ -13,7 +13,7 @@ every tick, fixed before any node simulation starts.
 
 That open-loop split is what makes the fleet shardable and cacheable:
 a node simulation depends only on (scenario, node id, its cap column),
-never on its siblings, so shards can run in spawn-isolated workers and
+never on its siblings, so shards can run in isolated workers and
 node results can be content-addressed.  The price is model error — the
 fluid model's backlog drifts from the simulated one — but caps are
 enforced as conservative frequency ceilings, so model error costs only

@@ -2,7 +2,7 @@
 
 :func:`run_shard` is a harness job target (``repro.fleet.shard:run_shard``)
 — plain JSON kwargs in, JSON payload out — so a fleet run can ride the
-supervised harness's spawn-isolated workers, resume after a kill, and
+supervised harness's isolated workers, resume after a kill, and
 serve unchanged shards from the content-addressed result cache.
 
 Each shard rebuilds the scenario from its dict form and **re-plans the
@@ -63,7 +63,7 @@ def export_fleet_worker(nodes: list[dict[str, Any]], telemetry_dir: str,
     from repro.telemetry import Telemetry, export_worker
 
     # The Telemetry roots at the ambient trace context — propagated via
-    # TRACEPARENT_ENV by the harness for spawned shards and set by the
+    # TRACEPARENT_ENV by the worker for isolated shards and set by the
     # inline runner around this call — so the shard's span stitches into
     # the fleet run's trace identically either way.
     telemetry = Telemetry(base_labels={"allocator": allocator})

@@ -8,7 +8,7 @@ harness' own failure modes — a hung experiment, a crashing worker, a
 - per-job wall-clock **timeouts** and **retry with backoff** (reusing
   :class:`repro.faults.retry.RetryPolicy`), plus a **circuit breaker**
   that quarantines a repeatedly-failing job instead of sinking the run;
-- **process isolation** via spawn-context :mod:`multiprocessing`
+- **process isolation** via forkserver :mod:`multiprocessing`
   workers, with optional parallel fan-out across independent jobs;
 - a **write-ahead journal** (``journal.jsonl``, one fsynced record per
   state transition) and **atomic artifact writes**, so any interrupt

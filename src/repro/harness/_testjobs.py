@@ -57,5 +57,12 @@ def hang_then_ok(state_path: str, seconds: float = 60.0,
     return {"value": value, "attempt": attempt}
 
 
+def traceparent_env() -> dict[str, Any]:
+    """The trace context this attempt's environment carries, if any."""
+    from repro.telemetry.tracecontext import TRACEPARENT_ENV
+
+    return {"traceparent": os.environ.get(TRACEPARENT_ENV)}
+
+
 def exit_now(code: int = 0) -> dict[str, Any]:
     os._exit(code)  # a bare worker exit: no artifact, no traceback

@@ -35,6 +35,13 @@ EXPIRED = "expired"
 #: "No precomputed payload" for :func:`run_inline` (payloads may be falsy).
 NO_PAYLOAD = object()
 
+#: Attempts fork from one server that preloads the worker and simulator: a
+#: fork, not an interpreter start.  The server starts with the first one.
+_CONTEXT = multiprocessing.get_context("forkserver")
+_CONTEXT.set_forkserver_preload(["repro.harness.worker",
+                                 "repro.runtime.executor"])
+
+
 @dataclass(frozen=True)
 class AttemptOutcome:
     kind: str
@@ -76,7 +83,7 @@ def run_inline(name: str, target: str, kwargs: dict[str, Any],
 
 
 class Attempt:
-    """One attempt in a spawn-context worker process, started on
+    """One attempt in a forkserver worker process, started on
     construction like :class:`subprocess.Popen`.  ``timeout_s`` counts
     from the start; ``deadline`` is an absolute :func:`time.monotonic`."""
 
@@ -87,24 +94,12 @@ class Attempt:
         error_path = artifact_path + ".error"
         with contextlib.suppress(OSError):  # never read back a stale one
             os.unlink(error_path)
-        self.proc = multiprocessing.get_context("spawn").Process(
+        self.proc = _CONTEXT.Process(
             target=worker_main, name=f"attempt-{name}",
             args=(name, target, kwargs, artifact_path, error_path,
                   traceparent),
         )
-        # A parent run as ``python -m repro.experiments.suite`` makes the
-        # spawn bootstrap re-run that already-imported module, and runpy
-        # warns once per worker.  Benign: silence exactly that warning.
-        prev = os.environ.get("PYTHONWARNINGS")
-        squelch = "ignore::RuntimeWarning:runpy"
-        os.environ["PYTHONWARNINGS"] = f"{prev},{squelch}" if prev else squelch
-        try:
-            self.proc.start()
-        finally:
-            if prev is None:
-                del os.environ["PYTHONWARNINGS"]
-            else:
-                os.environ["PYTHONWARNINGS"] = prev
+        self.proc.start()
         self.artifact_path = artifact_path
         self.timeout_s = timeout_s
         self.deadline = deadline

@@ -7,7 +7,7 @@ One :class:`Supervisor` drives one *run directory*::
       artifacts/<job>.json       atomically-written job results
       artifacts/<job>.json.error last traceback of a failed worker attempt
 
-Jobs run in spawn-context :mod:`multiprocessing` workers (a hung or
+Jobs run in forkserver :mod:`multiprocessing` workers (a hung or
 crashing experiment is killed on its deadline without taking down the
 supervisor) or, with ``isolate=False``, inline in this process — zero
 process overhead for cheap jobs, at the price of timeout enforcement.

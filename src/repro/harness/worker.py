@@ -1,4 +1,4 @@
-"""Job execution: the spawned worker's entry point and the inline path.
+"""Job execution: the worker process's entry point and the inline path.
 
 :mod:`repro.harness.attempt`, the one place that runs attempts, calls in
 here.  A job is a dotted ``module:function`` target plus JSON kwargs,
@@ -15,13 +15,15 @@ A job's ``traceparent`` is installed in
 from __future__ import annotations
 
 import importlib
+import os
 import sys
 import traceback
 from typing import Any, Callable
 
 from repro.errors import HarnessError, SerializationError
 from repro.ioutil import atomic_write_json, atomic_write_text
-from repro.telemetry.tracecontext import TraceContext, propagation_env
+from repro.telemetry.tracecontext import (TRACEPARENT_ENV, TraceContext,
+                                         propagation_env)
 
 ARTIFACT_SCHEMA = 1
 
@@ -82,7 +84,9 @@ def run_job_inline(name: str, target: str, kwargs: dict[str, Any],
 def worker_main(name: str, target: str, kwargs: dict[str, Any],
                 artifact_path: str, error_path: str,
                 traceparent: str | None = None) -> None:
-    """Spawned-process entry point (must stay a picklable top-level fn)."""
+    """Worker-process entry point (must stay a picklable top-level fn)."""
+    if traceparent is None:  # drop one left from the forkserver's start
+        os.environ.pop(TRACEPARENT_ENV, None)
     try:
         run_job_inline(name, target, kwargs, artifact_path, traceparent)
     except BaseException:

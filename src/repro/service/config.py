@@ -58,7 +58,6 @@ class ServiceConfig:
     drain_timeout_s: float = 30.0     # SIGTERM: finish in-flight work
     slow_client_timeout_s: float = 5.0   # per-read header/body deadline
     keepalive_timeout_s: float = 10.0    # idle persistent connections
-    isolate: bool = True              # spawn-isolated workers (False: threads)
 
     # -- observability ---------------------------------------------------
     # When set, served jobs export per-worker telemetry under this

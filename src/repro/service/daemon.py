@@ -3,7 +3,7 @@
 :class:`SimulationService` owns the whole serving pipeline::
 
     HTTP -> admission (breaker, cache, token bucket, bounded queues)
-         -> weighted-fair dequeue -> spawn-isolated execution
+         -> weighted-fair dequeue -> one worker process per attempt
          -> journal + content-addressed cache -> status/result endpoints
 
 Robustness properties, and where they live:
@@ -38,7 +38,6 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import os
-import sys
 import time
 from typing import Any
 
@@ -61,11 +60,6 @@ from repro.service.models import (
 )
 from repro.telemetry.slo import DEFAULT_SLOS, DEFAULT_WINDOWS, evaluate_slos
 from repro.telemetry.tracecontext import TraceContext
-
-#: GIL switch interval while jobs run on threads (``isolate=False``): each
-#: event-loop syscall (socket I/O, journal fsync) would otherwise wait out
-#: the default 5 ms behind a CPU-bound job, stalling admission for a job.
-_THREADED_SWITCH_INTERVAL_S = 1e-4
 
 #: Numeric breaker-state gauge (Prometheus-friendly).
 _BREAKER_LEVEL = {
@@ -118,7 +112,6 @@ class SimulationService:
         self._tasks: list[asyncio.Task] = []
         self._stopped = asyncio.Event()
         self._wake = asyncio.Event()    # queue or in-flight work changed
-        self._switch_interval = sys.getswitchinterval()  # shutdown restores
         self._in_flight = 0             # dequeued jobs not yet terminal
         #: In-flight worker processes by job id (chaos tests reach in).
         self.running_procs: dict[str, Any] = {}
@@ -171,9 +164,6 @@ class SimulationService:
         os.makedirs(self.artifact_dir, exist_ok=True)
         journal_path = os.path.join(self.run_dir, JOURNAL_NAME)
         prior = read_journal(journal_path) if os.path.exists(journal_path) else []
-        if not self.config.isolate:
-            sys.setswitchinterval(min(self._switch_interval,
-                                      _THREADED_SWITCH_INTERVAL_S))
         self._journal = Journal(journal_path)
         self._journal.record("service_start",
                              workers=self.config.workers,
@@ -301,7 +291,6 @@ class SimulationService:
             self.refresh_slo_gauges()
             merge_directory(self.config.telemetry_dir,
                             extra=[self.telemetry])
-        sys.setswitchinterval(self._switch_interval)
         self.started = False
         self._stopped.set()
 
@@ -532,9 +521,7 @@ class SimulationService:
         content-addressed cache key stays a pure function of the request
         — with telemetry export and trace propagation when the service
         runs with a telemetry directory.  The traceparent travels as an
-        explicit kwarg (not the env var): spawn inherits the parent's
-        environment at fork time, and inline attempts run on executor
-        threads where a process-global env var would race.
+        explicit kwarg, never through the daemon's environment.
         """
         kwargs = dict(record.request.kwargs())
         if self.config.telemetry_dir:
@@ -545,13 +532,11 @@ class SimulationService:
         return kwargs
 
     async def _attempt(self, record: JobRecord) -> attempt.AttemptOutcome:
-        """One attempt: a spawned worker, or (unkillable) a thread."""
-        job = (record.job_id, JOB_TARGET, self._job_kwargs(record),
-               self._artifact_path(record.job_id))
-        if not self.config.isolate:
-            return await asyncio.get_running_loop().run_in_executor(
-                None, lambda: attempt.run_inline(*job))
-        worker = attempt.Attempt(*job, timeout_s=self.config.job_timeout_s,
+        """One attempt in a worker process, killed at timeout or deadline."""
+        worker = attempt.Attempt(record.job_id, JOB_TARGET,
+                                 self._job_kwargs(record),
+                                 self._artifact_path(record.job_id),
+                                 timeout_s=self.config.job_timeout_s,
                                  deadline=record.deadline_monotonic)
         self.running_procs[record.job_id] = worker.proc
         try:

@@ -2,7 +2,7 @@
 
 Service jobs execute through the same mechanism as harness jobs: a
 dotted ``module:function`` target plus JSON kwargs, run by
-:func:`repro.harness.worker.worker_main` in a spawn-isolated process
+:func:`repro.harness.worker.worker_main` in a forkserver worker process
 that atomically writes an artifact and exits.  Keeping the target here
 (in the package, importable from a fresh interpreter) is what lets a
 drained-and-restarted daemon re-run journaled in-flight jobs
@@ -35,8 +35,9 @@ def run_simulation(workload: str, policy: str, n_iterations: int,
     how a served job's worker spans stitch under the admitting HTTP
     request in the merged trace.
     """
-    from repro.cli import _make_policy
-    from repro.experiments.common import scaled_options, scaled_workload
+    from repro.core.policies import make_policy
+    from repro.experiments.common import (scaled_config, scaled_options,
+                                          scaled_workload)
     from repro.runtime.executor import run_workload
 
     telemetry = None
@@ -50,7 +51,7 @@ def run_simulation(workload: str, policy: str, n_iterations: int,
 
     result = run_workload(
         scaled_workload(workload, time_scale),
-        _make_policy(policy, time_scale),
+        make_policy(policy, scaled_config(time_scale)),
         n_iterations=n_iterations,
         options=scaled_options(time_scale),
         telemetry=telemetry,

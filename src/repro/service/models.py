@@ -106,7 +106,7 @@ def parse_request(body: Any, config: ServiceConfig) -> JobRequest:
     if not isinstance(body, dict):
         raise ServiceError("submission body must be a JSON object")
 
-    from repro.cli import POLICY_FACTORIES
+    from repro.core.policies import POLICY_FACTORIES
     from repro.workloads.characteristics import ALIASES, get_profile
 
     workload = body.get("workload", "kmeans")

@@ -29,7 +29,6 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
         burst_per_tenant=args.burst_per_tenant,
         job_timeout_s=args.job_timeout_s,
         drain_timeout_s=args.drain_timeout_s,
-        isolate=not args.no_isolate,
         telemetry_dir=getattr(args, "telemetry", None),
     )
 

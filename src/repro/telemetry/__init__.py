@@ -11,7 +11,7 @@ fields) with a single instrumented path:
   (:mod:`repro.telemetry.spans`);
 - pluggable exporters — JSONL event stream, Prometheus text exposition,
   CSV/markdown summaries (:mod:`repro.telemetry.exporters`);
-- cross-process aggregation of spawn-isolated harness workers into one
+- cross-process aggregation of isolated harness workers into one
   run-level view (:mod:`repro.telemetry.merge`);
 - the ``repro metrics`` inspector (:mod:`repro.telemetry.inspect`);
 - the per-decision audit trail and the ``repro explain`` narrative

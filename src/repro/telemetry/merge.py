@@ -1,6 +1,6 @@
 """Cross-process aggregation: per-worker telemetry -> one run-level view.
 
-Harness workers are spawn-isolated processes; each writes its own
+Harness workers are separate processes; each writes its own
 telemetry under ``<dir>/workers/<job>/`` (a ``snapshot.json`` plus an
 ``events.jsonl``).  The supervisor — or anyone holding the run
 directory — merges those into the run-level exports at ``<dir>/``.

@@ -18,10 +18,10 @@ opaque correlation header.  Propagation channels:
 
 - **HTTP**: a ``traceparent`` request/response header
   (:mod:`repro.service.http`, :mod:`repro.service.client`);
-- **spawned workers**: the :data:`TRACEPARENT_ENV` environment variable,
+- **worker processes**: the :data:`TRACEPARENT_ENV` environment variable,
   set by :func:`repro.harness.worker.run_job_inline` in the child before
-  the job target runs (the harness supervisor ships the header through
-  the worker argument list, so spawn and inline execution agree);
+  the job target runs (the header travels as a ``worker_main`` argument,
+  so forked and inline execution agree);
 - **explicit kwargs**: service job targets receive ``traceparent=`` so
   content-addressed cache keys (computed from the *request* kwargs)
   stay pure.
@@ -144,8 +144,7 @@ def propagation_env(context: TraceContext | None) -> Iterator[None]:
     """Set :data:`TRACEPARENT_ENV` for the duration of the block.
 
     ``None`` is a no-op, so call sites can pass an optional context
-    straight through.  Restores the previous value on exit (the same
-    set/restore discipline the harness uses for ``PYTHONWARNINGS``).
+    straight through.  Restores the previous value on exit.
     """
     if context is None:
         yield

@@ -1,8 +1,14 @@
 """Tests for the one-shot evaluation suite."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.experiments import suite
+
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 @pytest.fixture(scope="module")
@@ -97,3 +103,16 @@ class TestRunSupervised:
     def test_resume_needs_run_dir(self):
         with pytest.raises(ValueError):
             suite.run_supervised(resume=True)
+
+
+def test_runs_as_a_module_without_a_runpy_warning():
+    """``python -m repro.experiments.suite`` must not find itself already
+    imported by its package (runpy warns, and ``-W error`` makes it fatal)."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.abspath(SRC) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m",
+         "repro.experiments.suite", "--help"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr

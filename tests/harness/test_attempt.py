@@ -7,9 +7,12 @@ from one table, so the two callers cannot drift apart.
 
 import asyncio
 import hashlib
+import json
 import multiprocessing
 import os
 import signal
+import subprocess
+import sys
 import time
 
 import pytest
@@ -27,6 +30,7 @@ from repro.harness.attempt import (
 from repro.harness.worker import read_artifact
 
 TESTJOBS = "repro.harness._testjobs"
+SRC = os.path.join(os.path.dirname(__file__), "..", "..", "src")
 
 
 def sync_wait(attempt):
@@ -162,6 +166,41 @@ def test_wait_any_returns_at_until_without_attempts():
     started = time.monotonic()
     wait_any([], until=started + 0.05)
     assert time.monotonic() - started >= 0.05
+
+
+ENV_SCRIPT = """
+import json, sys
+from repro.harness.attempt import Attempt, wait_any
+from repro.telemetry.tracecontext import TraceContext, propagation_env
+
+def echo(traceparent):
+    attempt = Attempt("env", "repro.harness._testjobs:traceparent_env", {},
+                      sys.argv[1], traceparent=traceparent)
+    while (outcome := attempt.poll()) is None:
+        wait_any([attempt])
+    return outcome.payload["traceparent"]
+
+A = TraceContext.root("started-under-a")
+B = TraceContext.root("passed-as-b").to_traceparent()
+with propagation_env(A):  # the first attempt starts the forkserver
+    first = echo(None)
+print(json.dumps({"b": B, "first": first, "with_b": echo(B),
+                  "without": echo(None)}))
+"""
+
+
+def test_job_env_does_not_depend_on_when_the_forkserver_started(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.abspath(SRC) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, "-c", ENV_SCRIPT, str(tmp_path / "job.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout)
+    assert seen["first"] is None
+    assert seen["with_b"] == seen["b"]
+    assert seen["without"] is None
 
 
 class TestInline:

@@ -7,8 +7,8 @@ Retry-After instead of crashing, serves cache hits in cache-only
 breaker mode, and a drain-restart cycle resumes journaled in-flight
 jobs byte-identically.
 
-These tests use spawn-isolated workers where process-level violence is
-the point, and threaded workers where only scheduling behavior matters.
+Every job runs in a worker process, so process-level violence (kills,
+timeouts) hits the same path as ordinary scheduling.
 """
 
 import hashlib
@@ -47,7 +47,7 @@ def assert_no_lost_or_duplicated(records):
 class TestWorkerSigkill:
     def test_sigkill_mid_job_retries_without_losing_the_result(self, tmp_path):
         config = ServiceConfig(
-            port=0, workers=1, isolate=True, job_timeout_s=120.0,
+            port=0, workers=1, job_timeout_s=120.0,
             retry_max_attempts=3, retry_base_backoff_s=0.01,
             retry_max_backoff_s=0.05, retry_jitter_seed=7,
             breaker_cache_only_after=5, breaker_hard_open_after=10,
@@ -59,9 +59,8 @@ class TestWorkerSigkill:
                                             time_scale=0.02)
             assert status == 202
             job_id = body["job_id"]
-            # The spawn window (fresh interpreter importing repro) keeps
-            # the child visible in running_procs for well over a second:
-            # kill it there, squarely mid-job.
+            # The job keeps its child visible in running_procs while it
+            # simulates: kill it there, squarely mid-job.
             deadline = time.monotonic() + 30.0
             pid = None
             while time.monotonic() < deadline:
@@ -87,10 +86,10 @@ class TestWorkerSigkill:
 
 class TestBreakerLadder:
     def test_cache_only_serves_hits_then_open_rejects_all(self, tmp_path):
-        # job_timeout far below spawn overhead: every execution is a
-        # deterministic worker-level failure (timeout kill).
+        # job_timeout far below the job's run time: every execution is
+        # a deterministic worker-level failure (timeout kill).
         config = ServiceConfig(
-            port=0, workers=1, isolate=True, job_timeout_s=0.05,
+            port=0, workers=1, job_timeout_s=0.05,
             retry_max_attempts=1,
             breaker_cache_only_after=2, breaker_hard_open_after=3,
             breaker_cooldown_s=300.0,  # no probes during the test
@@ -144,7 +143,7 @@ class TestBreakerLadder:
 
     def test_recovery_probe_closes_breaker_after_success(self, tmp_path):
         config = ServiceConfig(
-            port=0, workers=1, isolate=False, job_timeout_s=60.0,
+            port=0, workers=1, job_timeout_s=60.0,
             breaker_cache_only_after=1, breaker_hard_open_after=10,
             breaker_cooldown_s=0.1,
         )
@@ -171,7 +170,7 @@ class TestBreakerLadder:
 class TestDeadlineStorm:
     def test_queued_jobs_expire_without_poisoning_the_service(self, tmp_path):
         config = ServiceConfig(
-            port=0, workers=1, isolate=False, job_timeout_s=60.0,
+            port=0, workers=1, job_timeout_s=60.0,
             rate_per_tenant=10_000.0, burst_per_tenant=10_000.0,
             tenant_queue_limit=64,
         )
@@ -207,7 +206,7 @@ class TestDeadlineStorm:
 
     def test_deadline_kills_in_flight_job(self, tmp_path):
         config = ServiceConfig(
-            port=0, workers=1, isolate=True, job_timeout_s=120.0,
+            port=0, workers=1, job_timeout_s=120.0,
             breaker_cache_only_after=10, breaker_hard_open_after=20,
         )
         run_dir = str(tmp_path / "run")
@@ -235,7 +234,7 @@ class TestDeadlineStorm:
 class TestDrainRestartResume:
     def test_unfinished_jobs_resume_byte_identically(self, tmp_path):
         config = ServiceConfig(
-            port=0, workers=1, isolate=True, job_timeout_s=120.0,
+            port=0, workers=1, job_timeout_s=120.0,
             drain_timeout_s=0.1,  # abandon quickly: that's the point
             rate_per_tenant=1000.0, burst_per_tenant=1000.0,
         )
@@ -293,7 +292,7 @@ class TestDrainRestartResume:
                 hashlib.sha256(blob).hexdigest()
 
     def test_restart_with_corrupt_artifact_reruns_the_job(self, tmp_path):
-        config = ServiceConfig(port=0, workers=1, isolate=True,
+        config = ServiceConfig(port=0, workers=1,
                                job_timeout_s=120.0, drain_timeout_s=5.0)
         run_dir = str(tmp_path / "run")
         svc = ServiceThread(config, run_dir).start()

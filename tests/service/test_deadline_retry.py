@@ -2,13 +2,10 @@
 
 The attempt is stubbed to fail with a clean job error and the backoff is
 longer than the deadline, so the only correct ending is one
-``job_start`` and ``job_expired`` (``where: "running"``) — for spawned
-and threaded workers alike.
+``job_start`` and ``job_expired`` (``where: "running"``).
 """
 
 import os
-
-import pytest
 
 from repro.harness import attempt
 from repro.harness.attempt import JOB_ERROR, AttemptOutcome
@@ -29,21 +26,13 @@ class _FailedAttempt:
         return FAILED
 
 
-@pytest.mark.parametrize("isolate", [True, False],
-                         ids=["isolated", "threaded"])
-def test_no_retry_after_the_deadline(tmp_path, monkeypatch, isolate):
+def test_no_retry_after_the_deadline(tmp_path, monkeypatch):
     launched = []
-
-    def fake_run_inline(name, *args, **kwargs):
-        launched.append(name)
-        return FAILED
-
     monkeypatch.setattr(
         attempt, "Attempt",
         lambda name, *args, **kwargs: _FailedAttempt(launched, name))
-    monkeypatch.setattr(attempt, "run_inline", fake_run_inline)
     config = ServiceConfig(
-        port=0, workers=1, isolate=isolate, retry_max_attempts=3,
+        port=0, workers=1, retry_max_attempts=3,
         retry_base_backoff_s=1.0, retry_max_backoff_s=1.0,
         retry_jitter_seed=3,
     )

@@ -1,9 +1,9 @@
 """End-to-end HTTP tests against a live in-process daemon.
 
 These run the real asyncio front-end + daemon on a background thread
-with ``isolate=False`` (threaded workers — no spawn overhead), so the
-whole file stays fast while still exercising every HTTP surface.
-Spawn-isolated behavior (kills, timeouts, breaker trips) lives in
+with the default worker processes, forked from a preloaded forkserver,
+so the whole file stays fast while still exercising every HTTP surface.
+Process-level violence (kills, timeouts, breaker trips) lives in
 ``test_chaos.py``.
 """
 
@@ -22,7 +22,7 @@ FAST_JOB = dict(workload="kmeans", policy="greengpu",
 
 
 def make_config(**overrides):
-    defaults = dict(port=0, workers=2, isolate=False, job_timeout_s=60.0,
+    defaults = dict(port=0, workers=2, job_timeout_s=60.0,
                     slow_client_timeout_s=0.4, keepalive_timeout_s=2.0,
                     drain_timeout_s=10.0)
     defaults.update(overrides)

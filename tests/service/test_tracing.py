@@ -32,7 +32,7 @@ def traced_run(tmp_path_factory):
     """One served job end-to-end; yields (telemetry_dir, submit response)."""
     tmp = tmp_path_factory.mktemp("traced")
     telemetry_dir = str(tmp / "tel")
-    config = ServiceConfig(port=0, workers=1, isolate=False,
+    config = ServiceConfig(port=0, workers=1,
                            telemetry_dir=telemetry_dir,
                            drain_timeout_s=10.0)
     with ServiceThread(config, str(tmp / "run")) as svc:
@@ -135,7 +135,7 @@ class TestRecoveryKeepsTrace:
     def test_journal_round_trips_traceparent(self, tmp_path):
         """A journaled trace position survives daemon recovery."""
         telemetry_dir = str(tmp_path / "tel")
-        config = ServiceConfig(port=0, workers=1, isolate=False,
+        config = ServiceConfig(port=0, workers=1,
                                telemetry_dir=telemetry_dir,
                                drain_timeout_s=5.0)
         run_dir = str(tmp_path / "run")
