@@ -10,7 +10,9 @@ the committed baseline (``BENCH_10.json``) transfers across machines:
   uncached power-model calls, the per-window meter loop, and the
   pop-and-push clock dispatch.  The two paths must be bit-identical
   (the run aborts if not) — the ratio is pure overhead removed, not a
-  semantic change.
+  semantic change.  Both sides run with ondemand parking off: the
+  harness shares the controller, so parking would shrink both sides'
+  tick loops alike and the ratio would stop measuring the hot path.
 - **warm_sweep** — a supervised static-division sweep with an empty
   result cache (cold) vs the identical sweep again over the same cache
   (warm, every point served as ``skipped_cached``).
@@ -55,6 +57,7 @@ from pathlib import Path
 from repro.analysis.serialize import result_to_dict
 from repro.cache import ResultCache
 from repro.cache.keys import ENGINE_SCHEMA_VERSION
+from repro.core.controller import GreenGpuController
 from repro.core.policies import GreenGpuPolicy, StaticPolicy
 from repro.experiments.common import scaled_config, scaled_options, scaled_workload
 from repro.harness.supervisor import run_jobs
@@ -143,12 +146,22 @@ _LEGACY_PATCHES = [
 ]
 
 
-class legacy_engine:
-    """Context manager swapping the fast paths for their pre-PR bodies."""
+#: The ondemand tick never parks: every grid tick is a real tick and an
+#: engine step, as before parking existed.  ``_legacy_step`` has no CPU
+#: watch, so the legacy harness is only valid under this patch for runs
+#: with an ondemand tier.
+_NO_PARKING = [(GreenGpuController, "_maybe_park", lambda self: None)]
+
+
+class patched:
+    """Context manager swapping class attributes for other bodies."""
+
+    def __init__(self, patches):
+        self._patches = patches
 
     def __enter__(self):
-        self._saved = [(c, n, c.__dict__[n]) for c, n, _ in _LEGACY_PATCHES]
-        for cls, name, impl in _LEGACY_PATCHES:
+        self._saved = [(c, n, c.__dict__[n]) for c, n, _ in self._patches]
+        for cls, name, impl in self._patches:
             setattr(cls, name, impl)
         return self
 
@@ -156,6 +169,11 @@ class legacy_engine:
         for cls, name, impl in self._saved:
             setattr(cls, name, impl)
         return False
+
+
+def legacy_engine() -> patched:
+    """The fast paths swapped for their pre-PR bodies."""
+    return patched(_LEGACY_PATCHES)
 
 
 # -- scenario: single_run ----------------------------------------------
@@ -172,6 +190,11 @@ def _single_run():
 
 
 def bench_single_run() -> dict:
+    with patched(_NO_PARKING):
+        return _bench_single_run()
+
+
+def _bench_single_run() -> dict:
     fast_result = _single_run()
     with legacy_engine():
         legacy_result = _single_run()

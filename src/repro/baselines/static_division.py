@@ -52,8 +52,9 @@ def sweep_divisions(
     own ``static-division-<r>`` policy name.  ``audit`` optionally
     attaches a shared decision trail (static points only record tier-1
     boundaries — there is no live scaler).  Uninstrumented points pack
-    into one lockstep batch (lane *i* is bit-identical to the scalar run
-    for ratio *i*); instrumented points run scalar for their side-effect
+    into one lockstep batch when there are enough of them to beat the
+    scalar engine (lane *i* is bit-identical to the scalar run for ratio
+    *i*); instrumented points run scalar for their side-effect
     artifacts.
     """
     if ratios is None:

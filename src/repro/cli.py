@@ -161,8 +161,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
     workload = scaled_workload(args.workload, args.time_scale)
     options = scaled_options(args.time_scale)
     policy_names = ("rodinia-default", "scaling-only", "division-only", "greengpu")
-    # Plain comparisons pack all four policies into one lockstep batch;
-    # with --telemetry each policy records its own trail on a live run.
+    # One dispatcher call picks each policy's engine: GreenGPU and
+    # scaling-only carry controller ticks, and two static lanes are below
+    # the batch crossover, so all four run scalar.  With --telemetry each
+    # policy records its own trail on a live run.
     requests = [
         RunRequest(
             workload=workload,

@@ -7,7 +7,10 @@ simulated :class:`~repro.sim.platform.HeteroSystem`:
   core/memory utilizations through the ``nvidia-smi`` facade, run one WMA
   step, and enforce the chosen frequency pair.
 - **Tier 2, CPU**: every ``ondemand_interval_s``, read /proc/stat-style
-  utilization and apply the `ondemand` rule.
+  utilization and apply the `ondemand` rule.  While the CPU's state
+  provably repeats the last decision the tick is parked off the clock
+  and its grid ticks are backfilled when the state moves (see
+  ``_maybe_park``).
 - **Tier 1**: at every iteration boundary the executor reports
   ``(tc, tg)`` and receives the next division ratio.
 
@@ -166,6 +169,11 @@ class GreenGpuController:
         self._cpustat: CpuStat | FaultyCpuStat | None = None
         self._actuator = None
         self._tasks: list[TaskHandle] = []
+        self._ondemand_task: TaskHandle | None = None
+        # Parking (see _maybe_park): allowed only when the CPU monitor
+        # cannot fault; (busy, f) of the CPU while the tick is parked.
+        self._park_ok = False
+        self._parked: tuple[bool, float] | None = None
         self._last_gpu_sample: GpuUtilizationSample | None = None
         self._last_cpu_sample: CpuUtilizationSample | None = None
         self._consecutive_failures = 0
@@ -238,10 +246,16 @@ class GreenGpuController:
                     cfg.scaling_interval_s, self._scaling_tick, name="wma-scaling"
                 )
             )
-            self._tasks.append(
-                system.clock.every(
-                    cfg.ondemand_interval_s, self._ondemand_tick, name="ondemand"
-                )
+            self._ondemand_task = system.clock.every(
+                cfg.ondemand_interval_s, self._ondemand_tick, name="ondemand"
+            )
+            self._tasks.append(self._ondemand_task)
+            # fire() draws only for non-zero rates, so with these three at
+            # zero a parked tick moves no fault stream.
+            self._park_ok = self.faults is None or not any(
+                self.faults.plan.rate_for(kind) > 0.0
+                for kind in ("cpu_monitor_timeout", "cpu_monitor_drop",
+                             "cpu_monitor_freeze")
             )
 
     def detach(self) -> None:
@@ -252,9 +266,14 @@ class GreenGpuController:
         state or the division ratio between runs.  ``health`` survives
         until the next attach so callers can read it post-run.
         """
+        if self._parked is not None:
+            self._system.unwatch_cpu()
+            self._unpark(resume=False)
         for task in self._tasks:
             task.cancel()
         self._tasks.clear()
+        self._ondemand_task = None
+        self._park_ok = False
         self._system = None
         self._nvsmi = None
         self._cpustat = None
@@ -554,6 +573,68 @@ class GreenGpuController:
                 self.telemetry.gauge("cpu_f_hz").set(decision.f_target, t=t)
         if self.recorder is not None:
             self.recorder.record_many(t, cpu_u=sample.u, cpu_f=decision.f_target)
+        if self._park_ok:
+            self._maybe_park()
+
+    # -- ondemand parking ---------------------------------------------------------------
+    #
+    # Under synchronized communication the CPU spins at u == 1.0 for whole
+    # runs, and an idle CPU sits at the floor: either way every ondemand
+    # tick repeats the last decision.  A parked tick costs no engine
+    # step; its skipped grid ticks are accounted exactly on wake/detach.
+
+    def _maybe_park(self) -> None:
+        """Park the ondemand tick if the next sample provably holds.
+
+        While the CPU stays in its current (busy, f) state, every later
+        tick reads u == 1.0 (busy) or 0.0 (idle), and the governor keeps
+        the P-state at that u, so no skipped tick could act.
+        """
+        system = self._system
+        cpu = system.cpu
+        busy = cpu.busy
+        f = cpu.f
+        if not self.governor.holds(1.0 if busy else 0.0, f):
+            return
+        system.clock.park(self._ondemand_task)
+        self._parked = (busy, f)
+        system.watch_cpu(self._unpark)
+
+    def _unpark(self, resume: bool = True) -> None:
+        """Backfill every grid tick skipped up to and including now.
+
+        The CPU watch calls this (resume) when the CPU state moves;
+        :meth:`detach` calls it without resuming.
+
+        Each skipped tick counts in ``governor.ticks`` and records the
+        (u, f) it would have recorded.  On resume the CPU window restarts
+        at the last skipped grid time, so the next real tick reads one
+        full interval, and the task rejoins the clock at the next grid
+        time.
+        """
+        system = self._system
+        busy, f = self._parked
+        self._parked = None
+        now = system.now
+        period = self.config.ondemand_interval_s
+        task = self._ondemand_task
+        deadline = task.deadline
+        skipped: list[float] = []
+        while deadline <= now:
+            skipped.append(deadline)
+            deadline += period
+        if skipped:
+            self.governor.ticks += len(skipped)
+            u = 1.0 if busy else 0.0
+            if self.recorder is not None:
+                self.recorder.record_series(skipped, cpu_u=u, cpu_f=f)
+            if self._tel_on:
+                self.telemetry.counter("ondemand_ticks_skipped_total").inc(
+                    len(skipped))
+        if resume:
+            if skipped:
+                self._cpustat.rebase(now - skipped[-1], busy)
+            system.clock.resume(task, deadline)
 
     # -- tier 1 boundary -----------------------------------------------------------------
 

@@ -55,20 +55,27 @@ class OndemandGovernor:
         self.ticks = 0
         self.transitions = 0
 
+    def target(self, u: float, f_current: float) -> tuple[float, str]:
+        """The P-state one tick at utilization ``u`` moves to, and why.
+
+        Pure: no counters move.  :meth:`step` is this plus bookkeeping.
+        """
+        if u > self.up_threshold:
+            return self.ladder.peak, "above up_threshold -> peak"
+        if u < self.down_threshold:
+            return self.ladder.step_down(f_current), "below down_threshold -> step down"
+        return f_current, "within band -> hold"
+
+    def holds(self, u: float, f_current: float) -> bool:
+        """Whether a tick at utilization ``u`` keeps ``f_current`` (pure)."""
+        return self.target(u, f_current)[0] == f_current
+
     def step(self, u: float, f_current: float) -> GovernorDecision:
         """One sampling tick: map utilization to the next P-state."""
         if not 0.0 <= u <= 1.0:
             raise ConfigError(f"utilization must be in [0, 1], got {u}")
         self.ticks += 1
-        if u > self.up_threshold:
-            target = self.ladder.peak
-            reason = "above up_threshold -> peak"
-        elif u < self.down_threshold:
-            target = self.ladder.step_down(f_current)
-            reason = "below down_threshold -> step down"
-        else:
-            target = f_current
-            reason = "within band -> hold"
+        target, reason = self.target(u, f_current)
         changed = target != f_current
         if changed:
             self.transitions += 1

@@ -89,6 +89,10 @@ class FaultyCpuStat:
             )
         return sample
 
+    def rebase(self, back_s: float, busy: bool) -> None:
+        """Window bookkeeping, not a read: no fault applies."""
+        self._inner.rebase(back_s, busy)
+
 
 class FaultyGpuActuator:
     """``nvidia-settings`` surface with rejected/ignored/skewed writes.

@@ -47,3 +47,13 @@ class CpuStat:
         return CpuUtilizationSample(
             t=now, window_s=window, u=min(1.0, u), f=self._cpu.f
         )
+
+    def rebase(self, back_s: float, busy: bool) -> None:
+        """Restart the window ``back_s`` seconds ago.
+
+        Valid when the CPU was constantly busy (or constantly idle) over
+        those seconds, so the counters at the new start are known exactly
+        up to rounding: the next :meth:`query` reads from there.
+        """
+        self._last_t = self._cpu.elapsed_seconds - back_s
+        self._last_busy = self._cpu.busy_seconds - (back_s if busy else 0.0)

@@ -8,13 +8,15 @@ its one-request case.  For each request it decides:
   entry is served (``engine == "cache"``) only to an unobserved request
   — no recorder, no audit trail, no enabled telemetry — because those
   side-effect artifacts must come from a live run.
-- **batch**: two or more remaining requests that the lockstep engine can
-  represent bit-exactly (see :func:`classify`) run as lanes of one
-  :func:`repro.sim.batch.run_batch` call (``engine == "batch"``).
-- **scalar**: everything else — faulted policies, instrumented runs,
+- **batch**: at least ``_MIN_BATCH`` remaining requests that the
+  lockstep engine can represent bit-exactly (see :func:`classify`) run as
+  lanes of one :func:`repro.sim.batch.run_batch` call
+  (``engine == "batch"``).
+- **scalar**: everything else — faulted policies, policies with
+  controller ticks (GreenGPU, scaling-only), instrumented runs,
   caller-supplied systems or recorders, warmups, non-demand-model
-  workloads, or a lone eligible request not worth the numpy overhead
-  (every plain ``run_workload``) — runs
+  workloads, or too few eligible requests to beat the scalar engine
+  (``singleton``; every plain ``run_workload`` is one) — runs
   :func:`~repro.runtime.executor.simulate`, with the reason recorded in
   ``engine == "scalar:<reason>"``.
 
@@ -38,9 +40,14 @@ from repro.workloads.base import DemandModelWorkload
 #: engine's fresh-default-testbed contract excludes by construction.
 FLEET_SCALAR_REASON = "scalar:fleet-custom-system"
 
-#: Fewest lanes worth a batch: a lone lane pays numpy dispatch overhead
-#: per tick for no amortization, so the scalar fast path is faster.
-_MIN_BATCH = 2
+#: Fewest lanes worth a batch: below it the numpy dispatch overhead per
+#: tick outweighs the amortization, so the scalar fast path is faster.
+#: Measured crossover on static lanes (16 iterations, time scale 0.25,
+#: kmeans/streamcluster/nbody, 2-vCPU guest), scalar/batch time ratio:
+#: 0.41-0.43 at N=2, 0.74-0.79 at N=4, 0.87-0.92 at N=5, 1.06-1.17 at
+#: N=6, 1.50-1.57 at N=8 (medians of 5).  Sweeps (21 and 256 lanes)
+#: stay batched; ``compare``'s two static lanes run scalar.
+_MIN_BATCH = 6
 
 
 @dataclass(slots=True)
@@ -74,9 +81,10 @@ def classify(request: RunRequest) -> str | None:
     """Why this request cannot ride the batched engine, or None if it can.
 
     The batch engine models exactly the scalar fast path on a fresh
-    default testbed with an unobserved controller; anything that injects
-    faults, instruments the run, or supplies external state must take the
-    scalar path so those side effects come from a live scalar run.
+    default testbed with no clock tasks; anything that injects faults,
+    instruments the run, supplies external state, or runs tier-2 ticks
+    must take the scalar path so those side effects come from a live
+    scalar run.
     """
     if not isinstance(request.workload, DemandModelWorkload):
         # Only demand-model workloads have the iteration-invariant segment
@@ -94,6 +102,10 @@ def classify(request: RunRequest) -> str | None:
         return "audit"
     if request.warmup_s != 0.0:
         return "warmup"
+    if request.policy.mode.scaling_enabled:
+        # Controller ticks: the scalar engine parks the ondemand tick
+        # while its decision holds, which lockstep lanes cannot.
+        return "ticks"
     return None
 
 

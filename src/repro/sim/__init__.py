@@ -19,7 +19,7 @@ See DESIGN.md §1 for the substitution rationale.
 # content-addressed cache key (repro.cache) so stale results can never be
 # served across engine revisions.  Pure-speed refactors that are proven
 # bit-identical (the paired-oracle test) do not need a bump.
-ENGINE_SCHEMA_VERSION = 1
+ENGINE_SCHEMA_VERSION = 2
 
 from repro.sim.frequency import FrequencyLadder
 from repro.sim.perf import ExecutionEstimate, RooflineModel

@@ -16,9 +16,8 @@ Bit-exactness contract
 ----------------------
 Lane *i* of a batch must produce a :class:`RunResult` whose
 ``result_to_dict`` is **identical** to the scalar ``run_workload`` for the
-same request — including WMA frequency decisions, ondemand governor moves,
-division-ratio trajectories, and every energy integral.  Two rules make
-this hold:
+same request — division-ratio trajectories and every energy integral
+included.  Two rules make this hold:
 
 - Elementwise ``+ - * / min max`` on float64 arrays are IEEE-identical to
   the scalar interpreter ops, so the per-tick loop uses only those and
@@ -27,40 +26,41 @@ this hold:
 - ``np.power`` is *not* ulp-identical to CPython's ``**`` on this code
   path, so roofline estimates are never vectorized: segment execution
   estimates are computed by the real ``RooflineModel.estimate`` at
-  segment-table build and on frequency changes (both rare), and the tick
-  loop only gathers the precomputed ``seconds``/``u_core``/``u_mem``.
+  segment-table build, and the tick loop only gathers the precomputed
+  ``seconds`` and per-segment wall watts.
 
-Rare per-lane events — controller ticks, iteration barriers, repartition
-stalls — run through the *real* control classes (``WmaFrequencyScaler``,
-``OndemandGovernor``, ``WorkloadDivider``, ``TraceRecorder``) held per
-lane, so tier-2 learning state is the genuine article rather than a clone.
+Lanes have no clock tasks: frequencies stay where the policy pinned them,
+and the only per-lane events are iteration barriers and repartition
+stalls, which run through the *real* ``WorkloadDivider`` and
+``TraceRecorder`` held per lane.  A policy with tier-2 scaling (GreenGPU,
+scaling-only) runs on the scalar engine, whose ondemand tick parks while
+its decision holds; re-expressing that rule here as well would be a third
+copy of the controller for traffic that does not batch.
 
-Only two callers send batches here: the static-division sweep (one
-workload at many ratios, tens to hundreds of lanes) and the policy
-comparison (a handful of lanes).  The mechanisms kept are the ones that
-traffic pays for: roofline estimates memoized by exact arguments, donor
-systems and rate columns shared between lanes at equal frequency levels,
-a vectorized iteration restart, and a scalar walk for ticks where one or
-two heads complete.  Every other head advance takes one index loop.
+The traffic that reaches this engine is static sweeps: one workload at
+many ratios (or pinned levels), tens to hundreds of lanes.  The
+mechanisms kept are the ones that traffic pays for: roofline estimates
+memoized by exact arguments, donor systems and rate columns shared
+between lanes at equal frequency levels, a vectorized iteration restart,
+and a scalar walk for ticks where one or two heads complete.  Every other
+head advance takes one index loop.
 
 The engine only accepts runs that the scalar fast path would execute on a
-fresh default testbed with no faults, no audit/telemetry instrumentation,
-and no warmup (see :mod:`repro.runtime.batch_executor` for the dispatch
-rules); everything else runs on the scalar engine.
+fresh default testbed with no faults, no controller ticks, no
+audit/telemetry instrumentation, and no warmup (see
+:mod:`repro.runtime.batch_executor` for the dispatch rules); everything
+else runs on the scalar engine.
 """
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from repro.core.config import GreenGpuConfig
 from repro.core.division import WorkloadDivider
-from repro.core.ondemand import OndemandGovernor
 from repro.core.policies import Policy
-from repro.core.wma import WmaFrequencyScaler
 from repro.errors import SimulationError
 from repro.faults.health import ControlHealth
 from repro.runtime.metrics import IterationMetrics, RunResult
@@ -98,7 +98,7 @@ class BatchRunRequest:
 
 @dataclass(slots=True)
 class _Lane:
-    """Per-lane cold state: real control objects + segment templates."""
+    """Per-lane cold state: the real divider + segment templates."""
 
     workload: Workload
     policy: Policy
@@ -107,28 +107,12 @@ class _Lane:
     repartition_overhead_s: float
     iteration_timeout_s: float
     system: object  # donor HeteroSystem: specs, ladders, frequency state
-    cfg: GreenGpuConfig
     recorder: TraceRecorder
     divider: WorkloadDivider | None
-    scaler: WmaFrequencyScaler | None
-    governor: OndemandGovernor | None
-    # Monitor baselines (NvidiaSmi / CpuStat clone state).
-    nv_last_t: float = 0.0
-    nv_last_core: float = 0.0
-    nv_last_mem: float = 0.0
-    cs_last_t: float = 0.0
-    cs_last_busy: float = 0.0
     last_ratio: float | None = None
-    # Phase templates for the current iteration's queues.  The GPU row
-    # layout is [g_npre transfers][kernels, one per g_phases entry][d2h],
-    # so the phase lists plus the kernel-block offset fully describe the
-    # rows for re-estimation after a frequency change.
-    g_phases: list = field(default_factory=list)
-    c_phases: list = field(default_factory=list)
-    g_npre: int = 0
     segs_units: float = -1.0  # units the templates were built for
     # Row columns staged by _build_segments for _write_segment_rows:
-    # (kinds, durs, ests, ucs, ums, cests, cucs, cums).
+    # (kinds, durs, ests, ucs, ums, cests).
     row_cache: tuple = ()
 
     @property
@@ -160,43 +144,28 @@ class _LaneDonor:
 
 
 def _make_lane(req: BatchRunRequest, testbed_config,
-               donor_cache: dict | None = None) -> _Lane:
+               donor_cache: dict) -> _Lane:
     from repro.runtime.executor import ExecutorOptions
 
     options = req.options or ExecutorOptions()
     # Specs and the testbed config are immutable value objects, so one
     # shared config serves every donor; only device state is per-lane.
-    # Without live scaling the donor itself is read-only after
-    # apply_initial_state (the only mutation sites are the scaling /
-    # ondemand ticks, gated on mode.scaling_enabled), and the applied
-    # state is a pure function of the policy's pinned ladder levels —
-    # so scaling-free lanes with equal levels share one donor.  A
-    # pure-ratio sweep then builds a single donor for the whole batch.
-    mode = req.policy.mode
-    system = None
-    donor_key = None
-    if donor_cache is not None and not mode.scaling_enabled:
-        donor_key = (req.policy.gpu_core_level, req.policy.gpu_mem_level,
-                     req.policy.cpu_level)
-        system = donor_cache.get(donor_key)
+    # With no clock tasks the donor is read-only after
+    # apply_initial_state, and the applied state is a pure function of
+    # the policy's pinned ladder levels — so lanes with equal levels
+    # share one donor.  A pure-ratio sweep builds a single donor for the
+    # whole batch.
+    donor_key = (req.policy.gpu_core_level, req.policy.gpu_mem_level,
+                 req.policy.cpu_level)
+    system = donor_cache.get(donor_key)
     if system is None:
         system = _LaneDonor(testbed_config)
         req.policy.apply_initial_state(system)
-        if donor_key is not None:
-            donor_cache[donor_key] = system
-    cfg = req.policy.config or GreenGpuConfig()
-    divider = scaler = governor = None
-    if mode.division_enabled:
-        divider = WorkloadDivider(cfg, r0=req.policy.ratio)
-    if mode.scaling_enabled:
-        scaler = WmaFrequencyScaler(
-            system.gpu.spec.core_ladder, system.gpu.spec.mem_ladder, cfg
-        )
-        governor = OndemandGovernor(
-            system.cpu.spec.ladder,
-            up_threshold=cfg.ondemand_up_threshold,
-            down_threshold=cfg.ondemand_down_threshold,
-        )
+        donor_cache[donor_key] = system
+    divider = None
+    if req.policy.mode.division_enabled:
+        divider = WorkloadDivider(req.policy.config or GreenGpuConfig(),
+                                  r0=req.policy.ratio)
     return _Lane(
         workload=req.workload,
         policy=req.policy,
@@ -205,11 +174,8 @@ def _make_lane(req: BatchRunRequest, testbed_config,
         repartition_overhead_s=options.repartition_overhead_s,
         iteration_timeout_s=options.iteration_timeout_s,
         system=system,
-        cfg=cfg,
         recorder=TraceRecorder(),
         divider=divider,
-        scaler=scaler,
-        governor=governor,
     )
 
 
@@ -251,23 +217,18 @@ class _BatchEngine:
         self.now = f64()
         self.mc_e = f64()  # meter1 (CPU-side wall) energy
         self.mg_e = f64()  # meter2 (GPU-side wall) energy
-        self.g_bcore = f64()  # gpu busy_core_seconds
-        self.g_bmem = f64()  # gpu busy_mem_seconds
-        self.g_elapsed = f64()
-        self.c_elapsed = f64()
-        self.c_busy = f64()  # cpu busy_seconds (/proc/stat view)
         self.c_spin_s = f64()
         self.c_spin_e = f64()
-        # Frequency-derived per-lane scalars (refreshed on actuation).
+        # Frequency-derived per-lane scalars (set once from the donor).
         self.g_fcr = f64()
         self.g_fmr = f64()
         self.g_base = f64()  # gpu power at zero utilization
         self.cpu_busy_w = f64()
         self.cpu_idle_w = f64()
-        # Wall (meter-side) watts, precomputed on actuation: the meter
-        # expression ((device_w + OVH) / EFF) over a head's lifetime uses
-        # the same operand floats every tick, so folding it once per
-        # frequency change / segment is bitwise the per-tick arithmetic.
+        # Wall (meter-side) watts, precomputed per lane and segment: the
+        # meter expression ((device_w + OVH) / EFF) over a head's lifetime
+        # uses the same operand floats every tick, so folding it once is
+        # bitwise the per-tick arithmetic.
         self.cpu_busy_wall = f64()
         self.cpu_idle_wall = f64()
         self.g_wall = f64()  # wall watts of the current gpu head
@@ -276,17 +237,10 @@ class _BatchEngine:
         self.g_kind = np.full(L, _IDLE, dtype=np.int8)
         self.g_rem = f64()
         self.g_est = f64()
-        self.g_uc = f64()
-        self.g_um = f64()
         self.g_frac = f64()
         self.c_kind = np.full(L, _IDLE, dtype=np.int8)
         self.c_est = f64()
-        self.c_uc = f64()
-        self.c_um = f64()
         self.c_frac = f64()
-        # Clock deadlines (inf == no task).
-        self.wma_dl = np.full(L, np.inf)
-        self.od_dl = np.full(L, np.inf)
         self.it_timeout = np.array(
             [ln.iteration_timeout_s for ln in self.lanes]
         )
@@ -340,19 +294,12 @@ class _BatchEngine:
         for i, lane in enumerate(self.lanes):
             j = _rate_seen.setdefault(id(lane.system), i)
             if j == i:
-                self._refresh_gpu_rates(i, reestimate=False)
-                self._refresh_cpu_rates(i, reestimate=False)
+                self._set_gpu_rates(i)
+                self._set_cpu_rates(i)
             else:
                 for col in _rate_cols:
                     col[i] = col[j]
-            # clock.every(...) at attach time, with now == 0.
-            if lane.scaler is not None:
-                self.wma_dl[i] = 0.0 + lane.cfg.scaling_interval_s
-                self.od_dl[i] = 0.0 + lane.cfg.ondemand_interval_s
         self.g_wall[:] = self.g_wall_idle
-        # Controllers only register clock tasks at attach; an all-static
-        # batch can skip the per-tick deadline math entirely.
-        self._has_tasks = any(ln.scaler is not None for ln in self.lanes)
 
         # Segment tables, sized after the first build (segment counts are
         # iteration-invariant for DemandModelWorkload queues).  Iteration 0
@@ -448,12 +395,7 @@ class _BatchEngine:
         ctrip = self._estimate_phases(
             cpu.spec.roofline, cphases, cpu.compute_rate,
             cpu.spec.host_bandwidth)
-        lane.g_phases = phases
-        lane.g_npre = npre
-        lane.c_phases = cphases
-        lane.row_cache = (kinds, durs, ests, ucs, ums,
-                          [t[0] for t in ctrip], [t[1] for t in ctrip],
-                          [t[2] for t in ctrip])
+        lane.row_cache = (kinds, durs, ests, ucs, ums, [t[0] for t in ctrip])
         lane.segs_units = gpu_units
 
     def _alloc_segment_arrays(self) -> None:
@@ -465,89 +407,39 @@ class _BatchEngine:
         self.gseg_kind = np.full((L, gs), _IDLE, dtype=np.int8)
         self.gseg_dur = np.zeros((L, gs))
         self.gseg_est = np.zeros((L, gs))
-        self.gseg_uc = np.zeros((L, gs))
-        self.gseg_um = np.zeros((L, gs))
         self.gseg_pw = np.zeros((L, gs))
         self.cseg_est = np.zeros((L, cs))
-        self.cseg_uc = np.zeros((L, cs))
-        self.cseg_um = np.zeros((L, cs))
 
     def _write_segment_rows(self, i: int) -> None:
         # Row columns were staged by _build_segments; storing is one
         # slice assign per array — tens of scalar `arr[i, s] = x` writes
         # per lane would dominate setup of a 256-lane sweep.
-        kinds, durs, ests, ucs, ums, cests, cucs, cums = \
-            self.lanes[i].row_cache
+        kinds, durs, ests, ucs, ums, cests = self.lanes[i].row_cache
         n = len(kinds)
         self.gseg_kind[i, :n] = kinds
         self.gseg_dur[i, :n] = durs
         self.gseg_est[i, :n] = ests
-        self.gseg_uc[i, :n] = ucs
-        self.gseg_um[i, :n] = ums
         self.g_nseg[i] = n
-        self._write_segment_walls(i)
-        m = len(cests)
-        self.cseg_est[i, :m] = cests
-        self.cseg_uc[i, :m] = cucs
-        self.cseg_um[i, :m] = cums
-        self.c_nseg[i] = m
-
-    def _write_segment_walls(self, i: int) -> None:
         # Per-segment wall watts: the exact meter expression
         # ((g_base + (A_CORE*uc)*fcr + (A_MEM*um)*fmr) + OVH2) / EFF2,
         # folded row-wise.  For transfer segments uc == um == 0.0, so the
         # active terms add exactly +0.0 and the entry equals g_wall_idle.
-        n = int(self.g_nseg[i])
         self.gseg_pw[i, :n] = (
             (
                 float(self.g_base[i])
-                + (self.A_CORE * self.gseg_uc[i, :n]) * float(self.g_fcr[i])
+                + (self.A_CORE * np.asarray(ucs, dtype=float))
+                * float(self.g_fcr[i])
             )
-            + (self.A_MEM * self.gseg_um[i, :n]) * float(self.g_fmr[i])
+            + (self.A_MEM * np.asarray(ums, dtype=float)) * float(self.g_fmr[i])
             + self.OVH2
         ) / self.EFF2
-
-    def _reestimate_gpu_row(self, i: int) -> None:
-        lane = self.lanes[i]
-        gpu = lane.system.gpu
-        trip = self._estimate_phases(gpu.spec.roofline, lane.g_phases,
-                                     gpu.compute_rate, gpu.bandwidth)
-        for s, (sec, uc, um) in enumerate(trip, start=lane.g_npre):
-            self.gseg_est[i, s] = sec
-            self.gseg_uc[i, s] = uc
-            self.gseg_um[i, s] = um
-        # Frequencies changed, so every wall-power entry is stale.
-        self._write_segment_walls(i)
-        # In-flight kernels keep their fraction and re-time the remainder.
-        if self.g_kind[i] == _KERNEL:
-            p = int(self.g_ptr[i])
-            self.g_est[i] = self.gseg_est[i, p]
-            self.g_uc[i] = self.gseg_uc[i, p]
-            self.g_um[i] = self.gseg_um[i, p]
-        # Any head — kernel, transfer, or idle — draws at the new wall rate.
-        if self.g_kind[i] >= 0:
-            self.g_wall[i] = self.gseg_pw[i, int(self.g_ptr[i])]
-        else:
-            self.g_wall[i] = self.g_wall_idle[i]
-
-    def _reestimate_cpu_row(self, i: int) -> None:
-        lane = self.lanes[i]
-        cpu = lane.system.cpu
-        trip = self._estimate_phases(cpu.spec.roofline, lane.c_phases,
-                                     cpu.compute_rate, cpu.spec.host_bandwidth)
-        for s, (sec, uc, um) in enumerate(trip):
-            self.cseg_est[i, s] = sec
-            self.cseg_uc[i, s] = uc
-            self.cseg_um[i, s] = um
-        if self.c_kind[i] == _KERNEL:
-            p = int(self.c_ptr[i])
-            self.c_est[i] = self.cseg_est[i, p]
-            self.c_uc[i] = self.cseg_uc[i, p]
-            self.c_um[i] = self.cseg_um[i, p]
+        m = len(cests)
+        self.cseg_est[i, :m] = cests
+        self.c_nseg[i] = m
 
     # -- frequency state ------------------------------------------------------
 
-    def _refresh_gpu_rates(self, i: int, reestimate: bool = True) -> None:
+    def _set_gpu_rates(self, i: int) -> None:
         gpu = self.lanes[i].system.gpu
         fcr = gpu.f_core / gpu.spec.core_ladder.peak
         fmr = gpu.f_mem / gpu.spec.mem_ladder.peak
@@ -559,10 +451,8 @@ class _BatchEngine:
         self.g_wall_idle[i] = (
             float(self.g_base[i]) + self.OVH2
         ) / self.EFF2
-        if reestimate:
-            self._reestimate_gpu_row(i)
 
-    def _refresh_cpu_rates(self, i: int, reestimate: bool = True) -> None:
+    def _set_cpu_rates(self, i: int) -> None:
         cpu = self.lanes[i].system.cpu
         f_ratio = cpu.f / cpu.spec.ladder.peak
         self.cpu_busy_w[i] = cpu.spec.power.power_unchecked(f_ratio, 1.0)
@@ -573,100 +463,6 @@ class _BatchEngine:
         self.cpu_idle_wall[i] = (
             float(self.cpu_idle_w[i]) + self.OVH1
         ) / self.EFF1
-        if reestimate:
-            self._reestimate_cpu_row(i)
-
-    # -- controller ticks (real control objects, scalar per firing) -----------
-
-    def _scaling_tick(self, i: int, t: float) -> None:
-        lane = self.lanes[i]
-        gpu = lane.system.gpu
-        now_e = float(self.g_elapsed[i])
-        window = now_e - lane.nv_last_t
-        if window <= 0.0:
-            # Deadlines strictly increase between firings and device time
-            # advances with sim time, so an empty window is unreachable on
-            # the fault-free batch path (the scalar engine's stale-sample
-            # fallback only exists for injected faults).
-            raise SimulationError("batch monitor window collapsed")
-        u_core = (float(self.g_bcore[i]) - lane.nv_last_core) / window
-        u_mem = (float(self.g_bmem[i]) - lane.nv_last_mem) / window
-        lane.nv_last_t = now_e
-        lane.nv_last_core = float(self.g_bcore[i])
-        lane.nv_last_mem = float(self.g_bmem[i])
-        u_core = min(1.0, u_core)
-        u_mem = min(1.0, u_mem)
-        decision = lane.scaler.step(u_core, u_mem)
-        if (decision.f_core, decision.f_mem) != (gpu.f_core, gpu.f_mem):
-            gpu.set_frequencies(decision.f_core, decision.f_mem)
-            self._refresh_gpu_rates(i)
-        power_w = self._system_power(i)
-        lane.recorder.record_many(
-            t,
-            gpu_u_core=u_core,
-            gpu_u_mem=u_mem,
-            gpu_f_core=decision.f_core,
-            gpu_f_mem=decision.f_mem,
-            system_power_w=power_w,
-        )
-
-    def _ondemand_tick(self, i: int, t: float) -> None:
-        lane = self.lanes[i]
-        cpu = lane.system.cpu
-        now_e = float(self.c_elapsed[i])
-        window = now_e - lane.cs_last_t
-        if window <= 0.0:
-            raise SimulationError("batch monitor window collapsed")
-        u = (float(self.c_busy[i]) - lane.cs_last_busy) / window
-        lane.cs_last_t = now_e
-        lane.cs_last_busy = float(self.c_busy[i])
-        u = min(1.0, u)
-        decision = lane.governor.step(u, cpu.f)
-        if decision.changed:
-            cpu.set_frequency(decision.f_target)
-            self._refresh_cpu_rates(i)
-        lane.recorder.record_many(t, cpu_u=u, cpu_f=decision.f_target)
-
-    def _system_power(self, i: int) -> float:
-        cpu_dev = (
-            float(self.cpu_busy_w[i])
-            if (self.c_kind[i] >= 0 or self.spin[i])
-            else float(self.cpu_idle_w[i])
-        )
-        if self.g_kind[i] == _KERNEL:
-            uc, um = float(self.g_uc[i]), float(self.g_um[i])
-        else:
-            uc, um = 0.0, 0.0
-        gpu_dev = (
-            float(self.g_base[i])
-            + (self.A_CORE * uc) * float(self.g_fcr[i])
-        ) + (self.A_MEM * um) * float(self.g_fmr[i])
-        return (cpu_dev + self.OVH1) / self.EFF1 + (gpu_dev + self.OVH2) / self.EFF2
-
-    def _fire_lane(self, i: int, when: float) -> None:
-        """Clone of ``SimClock.advance_to`` task dispatch for one lane.
-
-        The wma task is registered first, so it wins deadline ties by
-        sequence number, exactly like the scalar heap ordering.
-        """
-        lane = self.lanes[i]
-        while True:
-            wd = float(self.wma_dl[i])
-            od = float(self.od_dl[i])
-            if wd <= od:
-                dl, which = wd, 0
-            else:
-                dl, which = od, 1
-            if dl > when or math.isinf(dl):
-                break
-            if dl > self.now[i]:
-                self.now[i] = dl
-            if which == 0:
-                self.wma_dl[i] = dl + lane.cfg.scaling_interval_s
-                self._scaling_tick(i, float(self.now[i]))
-            else:
-                self.od_dl[i] = dl + lane.cfg.ondemand_interval_s
-                self._ondemand_tick(i, float(self.now[i]))
 
     # -- iteration lifecycle --------------------------------------------------
 
@@ -674,12 +470,10 @@ class _BatchEngine:
         p = int(self.g_ptr[i])
         if p >= self.g_nseg[i]:
             self.g_kind[i] = _IDLE
-            # Invariant: u_core/u_mem read 0.0 (and g_wall reads the idle
-            # wall rate) whenever the head is not a kernel, so the tick
-            # loop can use them unmasked.  g_rem holds +inf at idle so
-            # the per-tick time-to-event select needs no idle mask.
-            self.g_uc[i] = 0.0
-            self.g_um[i] = 0.0
+            # Invariant: g_wall reads the idle wall rate whenever the
+            # queue is drained, so the tick loop can use it unmasked.
+            # g_rem holds +inf at idle so the per-tick time-to-event
+            # select needs no idle mask.
             self.g_wall[i] = self.g_wall_idle[i]
             self.g_rem[i] = np.inf
             return
@@ -687,8 +481,6 @@ class _BatchEngine:
         self.g_kind[i] = kind
         self.g_rem[i] = self.gseg_dur[i, p]
         self.g_est[i] = self.gseg_est[i, p]
-        self.g_uc[i] = self.gseg_uc[i, p]
-        self.g_um[i] = self.gseg_um[i, p]
         self.g_wall[i] = self.gseg_pw[i, p]
         self.g_frac[i] = 0.0
 
@@ -702,8 +494,6 @@ class _BatchEngine:
             return
         self.c_kind[i] = _KERNEL
         self.c_est[i] = self.cseg_est[i, p]
-        self.c_uc[i] = self.cseg_uc[i, p]
-        self.c_um[i] = self.cseg_um[i, p]
         self.c_frac[i] = 0.0
 
     def _start_iteration(self, i: int) -> None:
@@ -737,9 +527,7 @@ class _BatchEngine:
         after ``_start_iteration`` has repartitioned a divider lane.
         Iteration restarts happen batch-wide on the same tick for lanes
         with equal segment counts, so this replaces the dominant per-lane
-        Python cost of static sweeps with a dozen array ops.  It leaves
-        ``g_uc``/``g_um`` alone for GPU-less lanes: a lane reaches its
-        barrier with the GPU head drained, which already zeroed them.
+        Python cost of static sweeps with a dozen array ops.
         """
         t0 = self.now[idx]
         self.t0_it[idx] = t0
@@ -758,8 +546,6 @@ class _BatchEngine:
             self.g_kind[gi] = self.gseg_kind[gi, 0]
             self.g_rem[gi] = self.gseg_dur[gi, 0]
             self.g_est[gi] = self.gseg_est[gi, 0]
-            self.g_uc[gi] = self.gseg_uc[gi, 0]
-            self.g_um[gi] = self.gseg_um[gi, 0]
             self.g_wall[gi] = self.gseg_pw[gi, 0]
             self.g_frac[gi] = 0.0
         self.c_kind[idx] = _IDLE
@@ -768,8 +554,6 @@ class _BatchEngine:
         if ci.size:
             self.c_kind[ci] = _KERNEL
             self.c_est[ci] = self.cseg_est[ci, 0]
-            self.c_uc[ci] = self.cseg_uc[ci, 0]
-            self.c_um[ci] = self.cseg_um[ci, 0]
             self.c_frac[ci] = 0.0
         self.gpu_done[idx] = np.where(g_has, np.nan, t0)
         self.cpu_done[idx] = np.where(c_has, np.nan, t0)
@@ -782,7 +566,7 @@ class _BatchEngine:
         """Clone of ``HeteroSystem.run_for`` for an idle-device lane.
 
         Only reached for the repartition stall, where both queues are
-        empty and the CPU spins; steps are bounded by clock deadlines and
+        empty and the CPU spins; with no clock tasks, each step runs to
         the horizon exactly like the scalar loop.
         """
         end = float(self.now[i]) + duration
@@ -792,15 +576,7 @@ class _BatchEngine:
             if guard > _MAX_TICKS:
                 raise SimulationError("step explosion inside repartition")
             now_i = float(self.now[i])
-            dl = min(float(self.wma_dl[i]), float(self.od_dl[i]))
-            dt: float | None = None
-            if not math.isinf(dl):
-                dt = dl - now_i
-                if dt < 0.0:
-                    dt = 0.0
-            horizon = end - now_i
-            if dt is None or horizon < dt:
-                dt = horizon
+            dt = end - now_i
             cpu_pw = (
                 float(self.cpu_busy_w[i]) if self.spin[i]
                 else float(self.cpu_idle_w[i])
@@ -808,15 +584,10 @@ class _BatchEngine:
             gpu_pw = float(self.g_base[i])
             self.mc_e[i] += ((cpu_pw + self.OVH1) / self.EFF1) * dt
             self.mg_e[i] += ((gpu_pw + self.OVH2) / self.EFF2) * dt
-            self.g_elapsed[i] += dt
-            self.c_elapsed[i] += dt
             if self.spin[i]:
-                self.c_busy[i] += dt
                 self.c_spin_s[i] += dt
                 self.c_spin_e[i] += cpu_pw * dt
-            when = now_i + dt
-            self._fire_lane(i, when)
-            self.now[i] = when
+            self.now[i] = now_i + dt
 
     def _finish_boundaries(self, idx: np.ndarray) -> None:
         # Metric terms are elementwise float64, so computing them for the
@@ -920,11 +691,8 @@ class _BatchEngine:
                 done = idx[~have]
             if done.size:
                 self.g_kind[done] = _IDLE
-                # Keep the u_core/u_mem == 0.0 / g_wall == idle / g_rem
-                # == inf invariants (see _load_gpu_head) for lanes whose
-                # queue just drained.
-                self.g_uc[done] = 0.0
-                self.g_um[done] = 0.0
+                # Keep the g_wall == idle / g_rem == inf invariants (see
+                # _load_gpu_head) for lanes whose queue just drained.
                 self.g_wall[done] = self.g_wall_idle[done]
                 self.g_rem[done] = np.inf
             if not li.size:
@@ -935,8 +703,6 @@ class _BatchEngine:
             self.g_kind[li] = kk
             self.g_rem[li] = rr
             self.g_est[li] = ee
-            self.g_uc[li] = self.gseg_uc[li, pi]
-            self.g_um[li] = self.gseg_um[li, pi]
             self.g_wall[li] = self.gseg_pw[li, pi]
             self.g_frac[li] = 0.0
             zero = np.where(
@@ -966,8 +732,6 @@ class _BatchEngine:
             ee = self.cseg_est[li, pi]
             self.c_kind[li] = _KERNEL
             self.c_est[li] = ee
-            self.c_uc[li] = self.cseg_uc[li, pi]
-            self.c_um[li] = self.cseg_um[li, pi]
             self.c_frac[li] = 0.0
             idx = li[ee <= _EPS]
 
@@ -1008,7 +772,7 @@ class _BatchEngine:
             gkern = self.g_kind == _KERNEL
             gtrans = self.g_kind == _TRANSFER
             ckern = self.c_kind == _KERNEL
-            # 1. per-lane dt: min over clock deadline, device events, horizon.
+            # 1. per-lane dt: min over device events and the horizon.
             # (1 - frac) * est is +0.0 when est == 0.0, so the scalar
             # engine's explicit zero-estimate branch needs no extra where.
             omf_g = 1.0 - self.g_frac
@@ -1019,9 +783,6 @@ class _BatchEngine:
             g_tte = np.where(gkern, omf_g * self.g_est, self.g_rem)
             c_tte = omf_c * self.c_est
             dt = np.minimum(np.minimum(g_tte, c_tte), horizon)
-            if self._has_tasks:
-                task_dl = np.minimum(self.wma_dl, self.od_dl)
-                dt = np.minimum(dt, np.maximum(task_dl - self.now, 0.0))
             if not all_act:
                 dt = np.where(act, dt, 0.0)
             # 2+3. meter integration via precomputed wall watts: the
@@ -1033,15 +794,7 @@ class _BatchEngine:
                 cpu_busy, self.cpu_busy_wall, self.cpu_idle_wall
             ) * dt
             self.mg_e += self.g_wall * dt
-            # 4. device utilization integrals (+0.0 when dt == 0:
-            # identity).  The WMA/ondemand monitors are their only
-            # readers, so all-static batches skip them entirely.
-            if self._has_tasks:
-                self.g_bcore += self.g_uc * dt
-                self.g_bmem += self.g_um * dt
-                self.g_elapsed += dt
-                self.c_elapsed += dt
-                self.c_busy += np.where(cpu_busy, dt, 0.0)
+            # 4. spin accounting.
             if self.spin.any():
                 # Spinning lanes are busy by definition, so their device
                 # draw is exactly cpu_busy_w.  Non-spinning lanes get
@@ -1093,13 +846,8 @@ class _BatchEngine:
                 g_adv |= gt & (self.g_rem <= _EPS)
             c_adv = c_roll | (ck & (self.c_est <= _EPS))
             self._advance_completed_heads(g_adv, c_adv)
-            # 6. clock: fire due controller tasks, then land on `when`.
+            # 6. clock: land on `when`.
             when = self.now + dt
-            if self._has_tasks:
-                fire = act & (task_dl <= when)
-                if fire.any():
-                    for i in np.flatnonzero(fire):
-                        self._fire_lane(int(i), float(when[i]))
             if all_act:
                 self.now = when
             else:
@@ -1203,4 +951,8 @@ def run_batch(requests: list[BatchRunRequest]) -> list[RunResult]:
             )
         if req.policy.fault_plan is not None:
             raise SimulationError("faulted runs must use the scalar engine")
+        if req.policy.mode.scaling_enabled:
+            raise SimulationError(
+                "runs with controller ticks must use the scalar engine"
+            )
     return _BatchEngine(requests).run()

@@ -11,12 +11,15 @@ exact.
 :class:`SimClock` owns simulated time and a set of periodic tasks
 (controller loops, meter samplers).  Device/work completion events are
 handled by the executor, which asks the clock for the next task deadline
-and advances to ``min(deadline, completion)``.
+and advances to ``min(deadline, completion)``.  A periodic task can be
+*parked* — taken off the heap with its deadline and sequence number
+kept — and *resumed* later; the ondemand tier parks while its decision
+provably holds (``GreenGpuController._maybe_park``).
 
 With a telemetry backend attached (:meth:`SimClock.set_telemetry`),
 every task dispatch is traced as a ``clock_task`` span labeled by task
 name and counted in ``clock_dispatch_total``, which is what surfaces
-the callback cost profile of a run (the 0.1 s ondemand tick dominates).
+the callback cost profile of a run.
 The default is no backend and a single ``is None`` branch per dispatch.
 """
 
@@ -56,13 +59,19 @@ class TaskHandle:
     def cancelled(self) -> bool:
         return self._task.cancelled
 
+    @property
+    def deadline(self) -> float:
+        """The task's next firing time (kept while it is parked)."""
+        return self._task.deadline
+
 
 class SimClock:
     """Simulated wall clock with periodic callbacks.
 
     Callbacks fire in deadline order; ties break by registration order so
     runs are fully deterministic.  Callbacks receive the current simulated
-    time and may register or cancel tasks, but must not advance the clock.
+    time and may register, cancel or park tasks, but must not advance
+    the clock.
     """
 
     def __init__(self, start: float = 0.0):
@@ -112,6 +121,25 @@ class SimClock:
         task = _ScheduledTask(float(when), next(self._seq), 0.0, callback, name)
         heapq.heappush(self._heap, task)
         return TaskHandle(task)
+
+    def park(self, handle: TaskHandle) -> None:
+        """Take a scheduled task off the heap without cancelling it.
+
+        The task keeps its deadline, period and sequence number, so
+        :meth:`resume` puts it back exactly where a never-parked task
+        would sort against its peers.  Callbacks may park their own task.
+        """
+        heap = self._heap
+        heap.remove(handle._task)
+        heapq.heapify(heap)
+
+    def resume(self, handle: TaskHandle, deadline: float) -> None:
+        """Put a parked task back on the heap, next firing at ``deadline``."""
+        if deadline < self._now:
+            raise SimulationError("cannot resume a task in the past")
+        task = handle._task
+        task.deadline = deadline
+        heapq.heappush(self._heap, task)
 
     def _prune(self) -> float | None:
         """Drop cancelled tasks off the heap top; return the next deadline.

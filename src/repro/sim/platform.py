@@ -14,6 +14,7 @@ paper's Dell Optiplex 580 + GeForce 8800 GTX testbed (see
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import SimulationError
@@ -70,6 +71,8 @@ class HeteroSystem:
             sample_period_s=config.meter_sample_period_s,
             sample_log_cap=config.sample_log_cap,
         )
+        # (busy, f, on_change) while a controller has parked a CPU tick.
+        self._cpu_watch: tuple[bool, float, Callable[[], None]] | None = None
 
     # -- measurement -----------------------------------------------------------
 
@@ -110,6 +113,29 @@ class HeteroSystem:
         self.meter_cpu.finalize()
         self.meter_gpu.finalize()
 
+    # -- CPU watch ------------------------------------------------------------------
+
+    def watch_cpu(self, on_change: Callable[[], None]) -> None:
+        """Call ``on_change`` once the CPU's (busy, frequency) state moves.
+
+        The check runs at the start of every step (both step paths), not
+        inside one: a completion inside ``cpu.advance`` happens at a time
+        the clock has not reached yet, so the first step that starts in
+        a new state is the first moment a sampler at ``now`` could see it.
+        One watch at a time; it is cleared before ``on_change`` runs.
+        """
+        self._cpu_watch = (self.cpu.busy, self.cpu.f, on_change)
+
+    def unwatch_cpu(self) -> None:
+        """Drop the CPU watch, if any, without calling it."""
+        self._cpu_watch = None
+
+    def _check_cpu_watch(self) -> None:
+        busy, f, on_change = self._cpu_watch
+        if self.cpu.busy != busy or self.cpu.f != f:
+            self._cpu_watch = None
+            on_change()
+
     # -- stepping -----------------------------------------------------------------
 
     def _next_dt(self, horizon: float | None) -> float:
@@ -144,6 +170,8 @@ class HeteroSystem:
         uncached oracle; the paired property test pins the two to
         bit-identical trajectories.
         """
+        if self._cpu_watch is not None:
+            self._check_cpu_watch()
         clock = self.clock
         gpu = self.gpu
         cpu = self.cpu
@@ -194,6 +222,8 @@ class HeteroSystem:
         """
         self.gpu.invalidate_caches()
         self.cpu.invalidate_caches()
+        if self._cpu_watch is not None:
+            self._check_cpu_watch()
         dt = self._next_dt(horizon)
         self.meter_cpu.accumulate_from(
             (self.cpu.instantaneous_power_uncached() + self.meter_cpu.overhead_w)

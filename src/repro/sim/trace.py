@@ -88,6 +88,24 @@ class TraceRecorder:
         for name, value in channels.items():
             self.record(name, t, value)
 
+    def record_series(self, times: list[float], **channels: float) -> None:
+        """Record each channel's one value at every time in ``times``.
+
+        ``times`` must be non-decreasing floats; this is ``record_many``
+        once per time, as one list extend per channel.
+        """
+        if not times:
+            return
+        for name, value in channels.items():
+            known = self._times[name]
+            if known and times[0] < known[-1] - 1e-12:
+                raise SimulationError(
+                    f"non-monotonic time {times[0]} after {known[-1]} "
+                    f"on channel {name!r}"
+                )
+            known.extend(times)
+            self._values[name].extend([float(value)] * len(times))
+
     @property
     def channels(self) -> list[str]:
         """All channel names seen so far, sorted."""

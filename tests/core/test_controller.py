@@ -1,5 +1,6 @@
 """Tests for the assembled two-tier controller."""
 
+import numpy as np
 import pytest
 
 from repro.core.controller import GreenGpuController, TierMode
@@ -128,3 +129,83 @@ class TestDivisionBoundary:
     def test_default_ratio_is_all_gpu(self, fast_config):
         ctrl = GreenGpuController(TierMode.NONE, fast_config)
         assert ctrl.ratio == 0.0
+
+
+def _grid_ticks(period: float, now: float) -> int:
+    """Ticks a never-parked task of ``period`` fires by ``now``."""
+    n, deadline = 0, period
+    while deadline <= now:
+        n += 1
+        deadline += period
+    return n
+
+
+class TestOndemandParking:
+    """A tick whose decision provably holds leaves the clock; the skipped
+    grid ticks are accounted exactly when the CPU state moves."""
+
+    def _run_spin_then_idle(self, testbed, ctrl, fast_config):
+        interval = fast_config.ondemand_interval_s
+        ctrl.attach(testbed)
+        testbed.cpu.spin()
+        testbed.run_for(20.5 * interval)
+        testbed.cpu.stop_spin()
+        testbed.run_for(20 * interval)
+
+    def test_parked_trace_equals_ticking_trace(self, fast_config):
+        from repro.sim.platform import make_testbed
+
+        traces = []
+        for park in (True, False):
+            rec = TraceRecorder()
+            ctrl = GreenGpuController(TierMode.SCALING_ONLY, fast_config,
+                                      recorder=rec)
+            if not park:
+                ctrl._maybe_park = lambda: None
+            testbed = make_testbed()
+            self._run_spin_then_idle(testbed, ctrl, fast_config)
+            ctrl.detach()
+            traces.append((rec.trace("cpu_u"), rec.trace("cpu_f")))
+        (u_park, f_park), (u_tick, f_tick) = traces
+        assert np.array_equal(f_park.times, f_tick.times)
+        assert np.array_equal(f_park.values, f_tick.values)
+        assert np.array_equal(u_park.times, u_tick.times)
+        np.testing.assert_allclose(u_park.values, u_tick.values,
+                                   rtol=0.0, atol=1e-9)
+        # The idle tail walked down to the floor and parked there.
+        assert f_park.values[-1] == f_park.values.min()
+
+    def test_skipped_ticks_complete_the_grid(self, testbed, fast_config):
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        testbed.clock.set_telemetry(tel)
+        ctrl = GreenGpuController(TierMode.SCALING_ONLY, fast_config,
+                                  telemetry=tel)
+        self._run_spin_then_idle(testbed, ctrl, fast_config)
+        governor = ctrl.governor  # detach() drops the reference
+        ctrl.detach()
+        dispatched = tel.registry.counter("clock_dispatch_total",
+                                          task="ondemand").value
+        skipped = tel.registry.counter("ondemand_ticks_skipped_total").value
+        grid = _grid_ticks(fast_config.ondemand_interval_s, testbed.now)
+        assert skipped > dispatched > 0
+        assert dispatched + skipped == grid == governor.ticks
+
+    def test_faulty_cpu_monitor_never_parks(self, testbed, fast_config):
+        from repro.faults.injector import FaultInjector, FaultPlan
+        from repro.telemetry import Telemetry
+
+        tel = Telemetry()
+        testbed.clock.set_telemetry(tel)
+        ctrl = GreenGpuController(
+            TierMode.SCALING_ONLY, fast_config, telemetry=tel,
+            faults=FaultInjector(FaultPlan(seed=1, monitor_drop_rate=0.01)),
+        )
+        self._run_spin_then_idle(testbed, ctrl, fast_config)
+        ctrl.detach()
+        dispatched = tel.registry.counter("clock_dispatch_total",
+                                          task="ondemand").value
+        assert dispatched == _grid_ticks(fast_config.ondemand_interval_s,
+                                         testbed.now)
+        assert tel.registry.counter("ondemand_ticks_skipped_total").value == 0

@@ -60,6 +60,21 @@ class TestDecisionRule:
         assert f == ladder.floor
 
 
+class TestHoldsPredicate:
+    def test_busy_holds_only_at_peak(self, governor, ladder):
+        assert governor.holds(1.0, ladder.peak)
+        assert not governor.holds(1.0, ladder.floor)
+
+    def test_idle_holds_only_at_floor(self, governor, ladder):
+        assert governor.holds(0.0, ladder.floor)
+        assert not governor.holds(0.0, ladder.peak)
+
+    def test_predicate_is_pure(self, governor, ladder):
+        governor.holds(1.0, ladder.floor)
+        assert governor.ticks == 0
+        assert governor.transitions == 0
+
+
 class TestBookkeeping:
     def test_tick_and_transition_counters(self, governor, ladder):
         governor.step(0.5, ladder.peak)   # hold

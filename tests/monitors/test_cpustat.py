@@ -23,6 +23,20 @@ class TestWindowedSampling:
         cpu.advance(1.0)
         assert stat.query().u == 1.0
 
+    @pytest.mark.parametrize("busy", [True, False])
+    def test_rebase_restarts_the_window(self, cpu_spec, busy):
+        cpu = CpuDevice(cpu_spec)
+        stat = CpuStat(cpu)
+        if busy:
+            cpu.spin()
+        cpu.advance(3.0)
+        stat.rebase(0.5, busy)  # window now opens at t = 2.5
+        cpu.stop_spin()
+        cpu.advance(0.5)
+        sample = stat.query()
+        assert sample.window_s == pytest.approx(1.0)
+        assert sample.u == pytest.approx(0.5 if busy else 0.0)
+
     def test_working_reads_full_utilization(self, cpu_spec):
         cpu = CpuDevice(cpu_spec)
         stat = CpuStat(cpu)

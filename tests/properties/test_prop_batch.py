@@ -7,6 +7,9 @@ lane result must equal the scalar ``run_workload`` result **bit for
 bit** — energies, times, division/frequency traces, iteration metrics,
 health counters — not merely approximately.  ``result_to_dict`` equality
 is the whole-surface bitwise comparison.
+
+Lanes never carry controller ticks: GreenGPU and scaling-only runs take
+the scalar engine, and ``run_batch`` rejects them.
 """
 
 import dataclasses
@@ -22,8 +25,7 @@ from repro.runtime.executor import run_workload
 from repro.sim.batch import BatchRunRequest, batch_eligible, run_batch
 
 WORKLOADS = ["kmeans", "hotspot", "nbody", "streamcluster"]
-POLICIES = ["greengpu", "scaling-only", "division-only", "best-performance",
-            "rodinia-default", "static"]
+POLICIES = ["division-only", "best-performance", "rodinia-default", "static"]
 
 
 def _policy(name, time_scale, static_ratio, level):
@@ -104,11 +106,11 @@ class TestLaneEquivalenceDeterministic:
         """One batch mixing workloads, policies, iteration counts, and
         sync-spin modes — lanes must not bleed into each other."""
         requests = [
-            _request("kmeans", "greengpu", 0.0, 0, 4, 0.05),
+            _request("kmeans", "division-only", 0.0, 0, 4, 0.05),
             _request("hotspot", "static", 0.55, 1, 2, 0.05),
             _request("nbody", "division-only", 0.0, 0, 3, 0.05),
             _request("streamcluster", "rodinia-default", 0.0, 0, 1, 0.05),
-            _request("kmeans", "greengpu", 0.0, 0, 2, 0.05,
+            _request("kmeans", "division-only", 0.0, 0, 2, 0.05,
                      sync_spin=False),
         ]
         for request, result in zip(requests, run_batch(requests)):
@@ -159,6 +161,12 @@ class TestLaneEquivalenceDeterministic:
         )
         with pytest.raises(SimulationError):
             run_batch([faulted])
+
+    @pytest.mark.parametrize("policy", ["greengpu", "scaling-only"])
+    def test_tick_policy_rejected(self, policy):
+        request = _request("kmeans", policy, 0.0, 0, 1, 0.05)
+        with pytest.raises(SimulationError):
+            run_batch([request])
 
     def test_empty_batch_rejected(self):
         with pytest.raises(SimulationError):

@@ -15,6 +15,7 @@ from repro.core.policies import GreenGpuPolicy, StaticPolicy
 from repro.errors import SimulationError
 from repro.faults.injector import fault_profile
 from repro.runtime.batch_executor import (
+    _MIN_BATCH,
     FLEET_SCALAR_REASON,
     BatchExecutor,
     RunRequest,
@@ -29,6 +30,10 @@ from tests.conftest import FAST_SCALE, fast_workload
 
 def _options() -> ExecutorOptions:
     return ExecutorOptions(repartition_overhead_s=0.5 * FAST_SCALE)
+
+
+#: Enough distinct static ratios to fill the smallest batch.
+RATIOS = [k / 10 for k in range(_MIN_BATCH)]
 
 
 def _request(**overrides) -> RunRequest:
@@ -59,6 +64,7 @@ class TestClassify:
         ({"recorder": TraceRecorder()}, "recorder"),
         ({"audit": object()}, "audit"),
         ({"warmup_s": 0.5}, "warmup"),
+        ({"policy": GreenGpuPolicy()}, "ticks"),
     ])
     def test_ineligible_reasons(self, overrides, reason):
         assert classify(_request(**overrides)) == reason
@@ -78,27 +84,38 @@ class TestClassify:
 class TestDispatchTable:
     def test_batch_of_eligible_requests(self):
         requests = [
-            _request(policy=StaticPolicy(0, 0, ratio=r))
-            for r in (0.0, 0.3, 0.6)
+            _request(policy=StaticPolicy(0, 0, ratio=r)) for r in RATIOS
         ]
         results = BatchExecutor().run_many(requests)
-        assert [r.engine for r in results] == ["batch"] * 3
+        assert [r.engine for r in results] == ["batch"] * _MIN_BATCH
+
+    def test_too_few_eligible_requests_run_scalar(self):
+        requests = [
+            _request(policy=StaticPolicy(0, 0, ratio=r))
+            for r in RATIOS[:_MIN_BATCH - 1]
+        ]
+        results = BatchExecutor().run_many(requests)
+        assert [r.engine for r in results] == (
+            ["scalar:singleton"] * (_MIN_BATCH - 1))
 
     def test_singleton_falls_back_to_scalar(self):
         [result] = BatchExecutor().run_many([_request()])
         assert result.engine == "scalar:singleton"
 
     def test_mixed_batch_annotates_each_fallback(self):
+        lanes = [_request(policy=StaticPolicy(1, 1, ratio=r)) for r in RATIOS]
         requests = [
-            _request(),                                    # lane 0: batch
+            lanes[0],                                      # batch
             _request(policy=GreenGpuPolicy().with_faults(
                 fault_profile("light", seed=0))),          # scalar:faults
-            _request(policy=StaticPolicy(1, 1, ratio=0.5)),  # lane 1: batch
+            *lanes[1:],                                    # batch
             _request(warmup_s=0.2),                        # scalar:warmup
+            _request(policy=GreenGpuPolicy()),             # scalar:ticks
         ]
         results = BatchExecutor().run_many(requests)
         assert [r.engine for r in results] == [
-            "batch", "scalar:faults", "batch", "scalar:warmup",
+            "batch", "scalar:faults", *["batch"] * (_MIN_BATCH - 1),
+            "scalar:warmup", "scalar:ticks",
         ]
 
     def test_scalar_fallback_matches_run_workload(self):
@@ -111,7 +128,7 @@ class TestDispatchTable:
         assert result_to_dict(result) == result_to_dict(direct)
 
     def test_engine_excluded_from_serialized_surface(self):
-        [a, b] = BatchExecutor().run_many([_request(), _request()])
+        a, b, *_ = BatchExecutor().run_many([_request()] * _MIN_BATCH)
         assert a.engine == "batch"
         assert "engine" not in result_to_dict(a)
         assert result_to_dict(a) == result_to_dict(b)
@@ -126,19 +143,17 @@ class TestCacheInterplay:
     def test_batch_results_stored_per_lane(self, tmp_path):
         cache = ResultCache(tmp_path)
         requests = [
-            _request(policy=StaticPolicy(0, 0, ratio=r))
-            for r in (0.1, 0.7)
+            _request(policy=StaticPolicy(0, 0, ratio=r)) for r in RATIOS
         ]
         executor = BatchExecutor(cache=cache)
         first = executor.run_many(requests)
-        assert [r.engine for r in first] == ["batch", "batch"]
-        assert cache.stores == 2
+        assert [r.engine for r in first] == ["batch"] * _MIN_BATCH
+        assert cache.stores == _MIN_BATCH
 
         second = executor.run_many([
-            _request(policy=StaticPolicy(0, 0, ratio=r))
-            for r in (0.1, 0.7)
+            _request(policy=StaticPolicy(0, 0, ratio=r)) for r in RATIOS
         ])
-        assert [r.engine for r in second] == ["cache", "cache"]
+        assert [r.engine for r in second] == ["cache"] * _MIN_BATCH
         for a, b in zip(first, second):
             assert result_to_dict(a) == result_to_dict(b)
 
@@ -147,13 +162,13 @@ class TestCacheInterplay:
         with the same request must hit the batch-stored entry."""
         cache = ResultCache(tmp_path)
         requests = [
-            _request(policy=StaticPolicy(0, 0, ratio=r))
-            for r in (0.2, 0.8)
+            _request(policy=StaticPolicy(0, 0, ratio=r)) for r in RATIOS
         ]
-        [batched, _] = BatchExecutor(cache=cache).run_many(requests)
+        batched, *_ = BatchExecutor(cache=cache).run_many(requests)
+        assert batched.engine == "batch"
         hits_before = cache.hits
         scalar = run_workload(
-            fast_workload("kmeans"), StaticPolicy(0, 0, ratio=0.2),
+            fast_workload("kmeans"), StaticPolicy(0, 0, ratio=RATIOS[0]),
             n_iterations=1, options=_options(), cache=cache,
         )
         assert cache.hits == hits_before + 1
@@ -163,16 +178,16 @@ class TestCacheInterplay:
     def test_partial_hits_batch_only_the_misses(self, tmp_path):
         cache = ResultCache(tmp_path)
         executor = BatchExecutor(cache=cache)
+        warm = (0.15, 0.55)
         executor.run_many([
-            _request(policy=StaticPolicy(0, 0, ratio=r))
-            for r in (0.1, 0.5)
+            _request(policy=StaticPolicy(0, 0, ratio=r)) for r in warm
         ])
         results = executor.run_many([
             _request(policy=StaticPolicy(0, 0, ratio=r))
-            for r in (0.1, 0.3, 0.5, 0.9)
+            for r in (warm[0], *RATIOS, warm[1])
         ])
         assert [r.engine for r in results] == [
-            "cache", "batch", "cache", "batch",
+            "cache", *["batch"] * _MIN_BATCH, "cache",
         ]
 
 

@@ -104,9 +104,10 @@ class TestBreakerLadder:
         with ServiceThread(config, run_dir, cache=cache) as svc:
             client = svc.client()
             # Two distinct submissions -> two worker failures -> CACHE_ONLY.
-            for i in (2, 3):
+            # Each runs ~0.5 s even inline, ten times the job timeout.
+            for i in (62, 63):
                 status, body, _ = client.submit(workload="hotspot",
-                                                iterations=i, time_scale=0.01)
+                                                iterations=i, time_scale=1.0)
                 assert status == 202
                 failed = client.wait(body["job_id"], timeout_s=60)
                 assert failed["phase"] == "failed"
@@ -177,9 +178,10 @@ class TestDeadlineStorm:
         run_dir = str(tmp_path / "run")
         with ServiceThread(config, run_dir) as svc:
             client = svc.client()
-            # Pin the single worker with real work...
+            # Pin the single worker with real work (~0.5 s inline, over
+            # three storm deadlines)...
             status, pinned, _ = client.submit(workload="hotspot",
-                                              iterations=4, time_scale=0.05)
+                                              iterations=64, time_scale=1.0)
             assert status == 202
             # ... then storm it with jobs that cannot possibly make it.
             storm = []
@@ -208,15 +210,16 @@ class TestDeadlineStorm:
         config = ServiceConfig(
             port=0, workers=1, job_timeout_s=120.0,
             breaker_cache_only_after=10, breaker_hard_open_after=20,
+            max_iterations=1024,
         )
         run_dir = str(tmp_path / "run")
         with ServiceThread(config, run_dir) as svc:
             client = svc.client()
-            # The largest job the default guards admit runs over 1 s even
-            # inline, and it is marked running before its worker spawns:
-            # the deadline always falls while the attempt is in flight.
+            # This job runs several seconds even inline, and it is marked
+            # running before its worker spawns: the deadline always falls
+            # while the attempt is in flight.
             status, body, _ = client.submit(workload="hotspot",
-                                            iterations=64, time_scale=1.0,
+                                            iterations=1024, time_scale=1.0,
                                             deadline_s=1.0)
             assert status == 202
             done = client.wait(body["job_id"], timeout_s=60)
@@ -244,9 +247,11 @@ class TestDrainRestartResume:
         svc = ServiceThread(config, run_dir, cache=cache).start()
         client = svc.client()
         jobs = []
+        # The later jobs run for longer (~0.2 s, ~0.4 s inline) than the
+        # success poll plus the drain timeout, so work is outstanding.
         for i in range(3):
             status, body, _ = client.submit(workload="kmeans",
-                                            iterations=1 + i,
+                                            iterations=1 + 30 * i,
                                             time_scale=0.02)
             assert status == 202
             jobs.append(body["job_id"])

@@ -66,6 +66,51 @@ class TestPeriodicTasks:
         clock.advance_to(1.0)
         assert order == ["a", "b"]
 
+    def test_parked_task_skips_firings_until_resumed(self):
+        clock = SimClock()
+        fired = []
+        handle = clock.every(1.0, fired.append)
+        clock.advance_to(1.0)
+        clock.park(handle)
+        assert handle.deadline == 2.0  # kept while parked
+        clock.advance_to(4.5)
+        assert clock.next_deadline() is None
+        clock.resume(handle, 5.0)
+        clock.advance_to(6.0)
+        assert fired == [1.0, 5.0, 6.0]
+
+    def test_callback_may_park_its_own_task(self):
+        clock = SimClock()
+        fired = []
+        holder = []
+
+        def tick(t):
+            fired.append(t)
+            clock.park(holder[0])
+
+        holder.append(clock.every(1.0, tick))
+        clock.every(10.0, lambda t: None)
+        clock.advance_to(5.0)
+        assert fired == [1.0]
+
+    def test_resumed_task_keeps_its_tie_break(self):
+        clock = SimClock()
+        order = []
+        first = clock.every(1.0, lambda t: order.append("a"))
+        clock.every(1.0, lambda t: order.append("b"))
+        clock.park(first)
+        clock.resume(first, 1.0)
+        clock.advance_to(1.0)
+        assert order == ["a", "b"]
+
+    def test_resume_in_the_past_raises(self):
+        clock = SimClock()
+        handle = clock.every(1.0, lambda t: None)
+        clock.park(handle)
+        clock.advance_to(3.0)
+        with pytest.raises(SimulationError):
+            clock.resume(handle, 2.0)
+
     def test_cancel_stops_future_firings(self):
         clock = SimClock()
         fired = []

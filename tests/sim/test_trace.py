@@ -22,6 +22,24 @@ class TestRecorder:
         assert rec.trace("a").values[0] == 1.0
         assert rec.trace("b").values[0] == 2.0
 
+    def test_record_series_equals_record_many_per_time(self):
+        bulk, single = TraceRecorder(), TraceRecorder()
+        times = [0.5, 1.0, 1.5]
+        bulk.record_series(times, u=1.0, f=2.8e9)
+        for t in times:
+            single.record_many(t, u=1.0, f=2.8e9)
+        for channel in ("u", "f"):
+            assert np.array_equal(bulk.trace(channel).times,
+                                  single.trace(channel).times)
+            assert np.array_equal(bulk.trace(channel).values,
+                                  single.trace(channel).values)
+
+    def test_record_series_rejects_going_back(self):
+        rec = TraceRecorder()
+        rec.record("u", 2.0, 1.0)
+        with pytest.raises(SimulationError):
+            rec.record_series([1.0, 3.0], u=0.0)
+
     def test_channels_sorted(self):
         rec = TraceRecorder()
         rec.record("z", 0.0, 1.0)

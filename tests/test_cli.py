@@ -67,7 +67,13 @@ class TestCompare:
         instrumented = capsys.readouterr().out
         assert instrumented.startswith(plain)
         assert "telemetry written" in instrumented[len(plain):]
-        assert engines == [["batch"] * 4, ["scalar:telemetry"] * 4]
+        # Two static lanes are too few to batch; GreenGPU and
+        # scaling-only carry controller ticks.
+        assert engines == [
+            ["scalar:singleton", "scalar:ticks", "scalar:singleton",
+             "scalar:ticks"],
+            ["scalar:telemetry"] * 4,
+        ]
 
 
 class TestSweep:
