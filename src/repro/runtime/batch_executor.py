@@ -42,11 +42,16 @@ FLEET_SCALAR_REASON = "scalar:fleet-custom-system"
 
 #: Fewest lanes worth a batch: below it the numpy dispatch overhead per
 #: tick outweighs the amortization, so the scalar fast path is faster.
-#: Measured crossover on static lanes (16 iterations, time scale 0.25,
-#: kmeans/streamcluster/nbody, 2-vCPU guest), scalar/batch time ratio:
-#: 0.41-0.43 at N=2, 0.74-0.79 at N=4, 0.87-0.92 at N=5, 1.06-1.17 at
-#: N=6, 1.50-1.57 at N=8 (medians of 5).  Sweeps (21 and 256 lanes)
-#: stay batched; ``compare``'s two static lanes run scalar.
+#: Lanes that tick every iteration set it.  Measured scalar/batch time
+#: ratio (16 iterations, time scale 0.25, kmeans/streamcluster/nbody,
+#: 2-vCPU guest, medians of 5) on division-only lanes: 0.45-0.52 at N=2,
+#: 0.79-0.92 at N=4, 1.10-1.19 at N=6, 1.47-1.65 at N=8; ``compare``'s
+#: eligible pair (one static, one division-only lane): 0.41-0.46.
+#: Static lanes replay every iteration after the first and win at any N
+#: (2.8-3.1 at N=1, 5.0-5.6 at N=2, 12.5-13.2 at N=6), but a count
+#: cannot tell the two kinds apart, so the threshold stays at the
+#: ticking lanes' crossover.  Sweeps (21 and 256 lanes) stay batched;
+#: ``compare`` runs scalar.
 _MIN_BATCH = 6
 
 

@@ -9,8 +9,10 @@ integrals, queue heads, clock deadlines — in numpy arrays of shape ``(N,)``
 next-event ``dt`` with one vectorized array op per concern per tick:
 power evaluation, meter integration, utilization/queue advance, and the
 clock-deadline min-chain.  Lanes are independent, so no cross-lane barrier
-is needed: a tick moves lane *i* to lane *i*'s next event, and the number
-of python-level ticks collapses from ``sum(events_i)`` to ``max(events_i)``.
+is needed: a tick moves lane *i* to lane *i*'s next event.  A pinned-ratio
+lane ticks only its first iteration and replays the rest (see Replay), so
+a static sweep's python-level ticks collapse from ``sum(events_i)`` to the
+longest first iteration; a lane with a divider ticks every iteration.
 
 Bit-exactness contract
 ----------------------
@@ -29,6 +31,29 @@ included.  Two rules make this hold:
   segment-table build, and the tick loop only gathers the precomputed
   ``seconds`` and per-segment wall watts.
 
+Replay
+------
+A lane without a divider repeats one tick sequence every iteration:
+``dt``, head fractions and the wall-watt addends depend only on its
+segment table, never on absolute time.  During iteration 0 the loop
+records such a lane's tape — per tick ``dt``, the two meter addends
+``wall * dt``, the two spin addends — and the ticks that stamp
+``gpu_done`` / ``cpu_done``.  At the lane's first barrier ``_replay``
+runs iterations 1..n-1, one at a time, as a row-wise ``np.cumsum`` over a
+``(lanes, ticks + 1)`` array with the carry in column 0, and retires the
+lane.  ``cumsum`` adds strictly left to right, so each prefix is the float
+the loop's ``x += a`` would hold after that tick; memory stays
+O(lanes x ticks per iteration).
+
+The iteration deadline is the one input that moves with absolute time.
+An iteration replays only if, on every taped tick, ``it_dl - now > 0``
+(the loop's timeout probe would not fire) and ``it_dl - now >= dt`` (the
+horizon would not cut the tick), and only if the horizon cut none of
+iteration 0's ticks.  Otherwise the lane goes back to the tick loop at
+the start of that iteration through ``_begin_iterations_bulk``, and the
+loop raises the scalar engine's ``SimulationError`` — or finishes the
+iteration — exactly as it would have without replay.
+
 Lanes have no clock tasks: frequencies stay where the policy pinned them,
 and the only per-lane events are iteration barriers and repartition
 stalls, which run through the *real* ``WorkloadDivider`` and
@@ -41,9 +66,9 @@ The traffic that reaches this engine is static sweeps: one workload at
 many ratios (or pinned levels), tens to hundreds of lanes.  The
 mechanisms kept are the ones that traffic pays for: roofline estimates
 memoized by exact arguments, donor systems and rate columns shared
-between lanes at equal frequency levels, a vectorized iteration restart,
-and a scalar walk for ticks where one or two heads complete.  Every other
-head advance takes one index loop.
+between lanes at equal frequency levels, the replay of pinned lanes, a
+vectorized iteration restart, and a scalar walk for ticks where one or
+two heads complete.  Every other head advance takes one index loop.
 
 The engine only accepts runs that the scalar fast path would execute on a
 fresh default testbed with no faults, no controller ticks, no
@@ -320,6 +345,18 @@ class _BatchEngine:
         self.c_ptr = np.zeros(L, dtype=np.int64)
         for i in range(L):
             self._write_segment_rows(i)
+        # Iteration-0 tapes of pinned lanes (see "Replay" in the module
+        # docstring).  Every lane starts iteration 0 on tick 0, so tape
+        # row t is tick t of each lane still in its first iteration; the
+        # five quantities per row are dt and the now/meter/spin addends.
+        self.taping = ~self.div_mask & (self.n_iter > 1)
+        self._taping = bool(self.taping.any())
+        # Ticks into iteration 0 when gpu_done / cpu_done were stamped.
+        self.g_stamp = np.zeros(L, dtype=np.int64)
+        self.c_stamp = np.zeros(L, dtype=np.int64)
+        self._tape = np.zeros((int((self.g_nseg + self.c_nseg).max()) + 2,
+                               5, L))
+        self._tape_len = 0
         self._begin_iterations_bulk(np.arange(L))
 
     def _estimate(self, roofline, flops: float, bytes_: float, rate: float,
@@ -638,11 +675,88 @@ class _BatchEngine:
                     if livel[k]:
                         self._start_iteration(i)
                 cont = cont[~self.div_mask[cont]]
+        if self._taping:
+            first = self.taping[cont]
+            if first.any():
+                # Pinned lanes at their first barrier: iteration 0's tape
+                # stands in for every later iteration the deadline cannot
+                # bind; the rest come back to tick.
+                rp = cont[first]
+                self.taping[rp] = False
+                cont = np.concatenate((cont[~first], self._replay(rp)))
+            self._taping = bool(self.taping.any())
+            if not self._taping:
+                self._tape = None
         if cont.size:
             # Pinned ratio: nothing to repartition or rebuild, so the
             # restart is one vectorized bulk begin.
             self._begin_iterations_bulk(cont)
         self._all_act = bool(self.act.all())
+
+    def _replay(self, idx: np.ndarray) -> np.ndarray:
+        """Run iterations 1.. of pinned lanes from their iteration-0 tape.
+
+        Each iteration is one row-wise ``cumsum`` per quantity with the
+        lane's carry in column 0: ``np.cumsum`` accumulates strictly left
+        to right, so every prefix is the float the tick loop's ``x += a``
+        would hold after that tick.  A lane replays an iteration only if
+        its deadline provably cannot bind on any taped tick (horizon
+        positive and no shorter than the tick's dt); otherwise it stops
+        at that iteration.  Returns the lanes that go back to the tick
+        loop, positioned at the start of their next iteration.
+        """
+        back = []
+        E = self._tape_len
+        # (quantity, lane, tick): column 0 is the carry, 1..E the addends.
+        acc = np.empty((5, idx.size, E + 1))
+        acc[:, :, 1:] = self._tape[:E][:, :, idx].transpose(1, 2, 0)
+        g_at = self.g_stamp[idx]
+        c_at = self.c_stamp[idx]
+        carry = (self.now, self.mc_e, self.mg_e, self.c_spin_s, self.c_spin_e)
+        k = 1
+        while idx.size:
+            keep = self.n_iter[idx] > k
+            if not keep.all():
+                self.act[idx[~keep]] = False
+                idx, acc = idx[keep], acc[:, keep]
+                g_at, c_at = g_at[keep], c_at[keep]
+                if not idx.size:
+                    break
+            for q, col in enumerate(carry):
+                acc[q, :, 0] = col[idx]
+            run = np.cumsum(acc, axis=2)
+            t0 = acc[0, :, 0]
+            dl = t0 + self.it_timeout[idx]
+            h = dl[:, None] - run[0, :, :-1]
+            ok = ((h > 0.0) & (h >= acc[0, :, 1:])).all(axis=1)
+            if not ok.all():
+                self.iter_i[idx[~ok]] = k
+                back.append(idx[~ok])
+                idx, acc, run = idx[ok], acc[:, ok], run[:, ok]
+                t0, dl, g_at, c_at = t0[ok], dl[ok], g_at[ok], c_at[ok]
+                if not idx.size:
+                    break
+            # Retired lanes keep their last iteration's deadline, as a
+            # ticked lane would, so the loop's horizon.min() probe stays
+            # on its fast path.
+            self.it_dl[idx] = dl
+            rows = np.arange(idx.size)
+            now_e, mc_e, mg_e = run[0, :, E], run[1, :, E], run[2, :, E]
+            mc0, mg0 = acc[1, :, 0], acc[2, :, 0]
+            self.it_r[idx, k] = self.r_it[idx]
+            self.it_tc[idx, k] = np.where(
+                self.cpu_units[idx] > 0.0, run[0, rows, c_at] - t0, 0.0)
+            self.it_tg[idx, k] = np.where(
+                self.gpu_units[idx] > 0.0, run[0, rows, g_at] - t0, 0.0)
+            self.it_wall[idx, k] = now_e - t0
+            self.it_e[idx, k] = (mc_e + mg_e) - (mc0 + mg0)
+            self.it_ge[idx, k] = mg_e - mg0
+            self.it_ce[idx, k] = mc_e - mc0
+            for q, col in enumerate(carry):
+                col[idx] = run[q, :, E]
+            k += 1
+            self.iter_i[idx] = k
+        return np.concatenate(back) if back else _EMPTY_IDX
 
     # -- the lockstep tick loop -----------------------------------------------
 
@@ -782,7 +896,8 @@ class _BatchEngine:
             # not-a-kernel arm of each select a plain array read.
             g_tte = np.where(gkern, omf_g * self.g_est, self.g_rem)
             c_tte = omf_c * self.c_est
-            dt = np.minimum(np.minimum(g_tte, c_tte), horizon)
+            dev = np.minimum(g_tte, c_tte)
+            dt = np.minimum(dev, horizon)
             if not all_act:
                 dt = np.where(act, dt, 0.0)
             # 2+3. meter integration via precomputed wall watts: the
@@ -790,10 +905,27 @@ class _BatchEngine:
             # the same operand floats, so it was folded once per segment
             # / actuation (gseg_pw, cpu_*_wall) instead of once per tick.
             cpu_busy = (self.c_kind >= 0) | self.spin
-            self.mc_e += np.where(
+            mc_add = np.where(
                 cpu_busy, self.cpu_busy_wall, self.cpu_idle_wall
             ) * dt
-            self.mg_e += self.g_wall * dt
+            mg_add = self.g_wall * dt
+            self.mc_e += mc_add
+            self.mg_e += mg_add
+            taping = self._taping
+            if taping:
+                t = self._tape_len
+                if t == len(self._tape):
+                    self._tape = np.concatenate(
+                        (self._tape, np.zeros_like(self._tape)))
+                row = self._tape[t]
+                row[0] = dt
+                row[1] = mc_add
+                row[2] = mg_add
+                # A tick whose dt the horizon cut is not a device event
+                # and would not repeat in later iterations: such a lane
+                # stops taping and ticks every iteration.
+                self.taping &= horizon >= dev
+                self._tape_len = t + 1
             # 4. spin accounting.
             if self.spin.any():
                 # Spinning lanes are busy by definition, so their device
@@ -801,8 +933,12 @@ class _BatchEngine:
                 # cpu_busy_w * 0.0 == +0.0, the same addend as before.
                 spin_m = self.spin & (self.c_kind < 0)
                 sdt = np.where(spin_m, dt, 0.0)
+                spin_e = self.cpu_busy_w * sdt
                 self.c_spin_s += sdt
-                self.c_spin_e += self.cpu_busy_w * sdt
+                self.c_spin_e += spin_e
+                if taping:
+                    row[3] = sdt
+                    row[4] = spin_e
             # 5. queue-head progress.  Inactive lanes sit at kind == _IDLE,
             # so when every lane is active the head-kind masks need no
             # act[] intersection at all.
@@ -863,9 +999,13 @@ class _BatchEngine:
             if nd.any():
                 self.gpu_done[nd] = self.now[nd]
                 self.g_pending &= ~nd
+                if taping:
+                    self.g_stamp[nd] = t + 1
                 stamped = True
             if ncd.any():
                 self.cpu_done[ncd] = self.now[ncd]
+                if taping:
+                    self.c_stamp[ncd] = t + 1
                 self.c_pending &= ~ncd
                 self.spin |= ncd & self.sync_spin & ~g_idle
                 stamped = True

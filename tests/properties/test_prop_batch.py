@@ -10,9 +10,14 @@ is the whole-surface bitwise comparison.
 
 Lanes never carry controller ticks: GreenGPU and scaling-only runs take
 the scalar engine, and ``run_batch`` rejects them.
+
+Pinned-ratio lanes tick only their first iteration and replay the rest
+from its tape; the replay and deadline classes below pin that path to
+the same oracle.
 """
 
 import dataclasses
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -74,7 +79,9 @@ LANE = st.tuples(
     st.sampled_from(POLICIES),
     st.floats(0.0, 0.95),
     st.integers(0, 2),
-    st.integers(1, 3),
+    # Up to six iterations, so most pinned lanes replay iterations 1..n-1
+    # from their iteration-0 tape rather than ticking them.
+    st.integers(1, 6),
 )
 
 
@@ -171,3 +178,112 @@ class TestLaneEquivalenceDeterministic:
     def test_empty_batch_rejected(self):
         with pytest.raises(SimulationError):
             run_batch([])
+
+
+class TestReplayEquivalence:
+    """Pinned lanes replay iterations 1..n-1 from iteration 0's tape."""
+
+    @pytest.mark.parametrize("sync_spin", [True, False])
+    @pytest.mark.parametrize("workload", ["kmeans", "streamcluster"])
+    def test_sixteen_iteration_division_sweep(self, workload, sync_spin):
+        """``sweep_divisions``-shaped: 21 ratios, 16 iterations each, so
+        every lane replays fifteen iterations, cohorts of lanes reach
+        their first barrier on different ticks, and r = 0 / r = 1 lanes
+        have one device idle throughout."""
+        requests = [
+            _request(workload, "static", k / 20, 0, 16, 0.05,
+                     sync_spin=sync_spin)
+            for k in range(21)
+        ]
+        for request, result in zip(requests, run_batch(requests)):
+            assert result_to_dict(result) == result_to_dict(_scalar(request))
+
+    def test_replayed_lanes_beside_ticking_divider_lanes(self):
+        """Pinned lanes of 1, 2, 7 and 16 iterations retire at their
+        first barrier while division-only lanes keep ticking every
+        iteration in the same batch."""
+        requests = [
+            _request(workload, "static", ratio, level, n, 0.05)
+            for workload, ratio, level, n in [
+                ("kmeans", 0.3, 0, 1), ("hotspot", 0.55, 1, 2),
+                ("nbody", 0.0, 2, 7), ("streamcluster", 1.0, 0, 16),
+                ("kmeans", 0.8, 1, 16), ("hotspot", 0.15, 0, 7),
+            ]
+        ] + [
+            _request("kmeans", "division-only", 0.0, 0, 7, 0.05),
+            _request("nbody", "division-only", 0.0, 0, 16, 0.05),
+            _request("streamcluster", "best-performance", 0.0, 0, 2, 0.05),
+        ]
+        for request, result in zip(requests, run_batch(requests)):
+            assert result_to_dict(result) == result_to_dict(_scalar(request))
+
+
+def _outcome(run):
+    """``("ok", result dict)`` or ``("error", message)``."""
+    try:
+        return "ok", result_to_dict(run())
+    except SimulationError as exc:
+        return "error", str(exc)
+
+
+class TestDeadlineParity:
+    """The replay rule hands a lane back to the tick loop whenever the
+    iteration deadline could bind, so a timeout at the edge of an
+    iteration's wall time raises (or not) exactly as the scalar run."""
+
+    @staticmethod
+    def _timeouts(wall):
+        return [
+            wall * (1.0 - 1e-9),
+            wall * (1.0 - 1e-12),
+            math.nextafter(wall, 0.0),
+            wall,
+            math.nextafter(wall, math.inf),
+            wall * (1.0 + 1e-12),
+        ]
+
+    @pytest.mark.parametrize("workload,ratio", [
+        ("kmeans", 0.3), ("hotspot", 0.55), ("nbody", 0.0),
+    ])
+    def test_timeout_at_iteration_wall_time(self, workload, ratio):
+        probe = _request(workload, "static", ratio, 0, 16, 0.05)
+        wall = _scalar(probe).iterations[0].wall_s
+        neighbours = [
+            _request("kmeans", "static", 0.7, 1, 5, 0.05),
+            _request("nbody", "division-only", 0.0, 0, 3, 0.05),
+        ]
+        seen = set()
+        for timeout in self._timeouts(wall):
+            options = dataclasses.replace(probe.options,
+                                          iteration_timeout_s=timeout)
+            lane = dataclasses.replace(probe, options=options)
+            scalar = _outcome(lambda: _scalar(lane))
+            batch = _outcome(lambda: run_batch([*neighbours, lane])[-1])
+            assert batch == scalar, timeout
+            seen.add(scalar[0])
+        # The grid straddles the edge: some timeouts raise, some do not.
+        assert seen == {"ok", "error"}
+
+    def test_lane_handed_back_after_replayed_iterations(self, monkeypatch):
+        """kmeans at r = 0.3 has later iterations ~1.7e-13 s longer than
+        iteration 0; a timeout of exactly iteration 0's wall time lets
+        the tape replay until the first such iteration, which then runs
+        on the tick loop — and still matches the scalar run."""
+        from repro.sim import batch
+
+        handed_back = []
+        replay = batch._BatchEngine._replay
+
+        def spy(engine, idx):
+            back = replay(engine, idx)
+            handed_back.extend(engine.iter_i[back].tolist())
+            return back
+
+        monkeypatch.setattr(batch._BatchEngine, "_replay", spy)
+        probe = _request("kmeans", "static", 0.3, 0, 16, 0.05)
+        wall = _scalar(probe).iterations[0].wall_s
+        options = dataclasses.replace(probe.options, iteration_timeout_s=wall)
+        lane = dataclasses.replace(probe, options=options)
+        assert _outcome(lambda: run_batch([lane])[0]) == \
+            _outcome(lambda: _scalar(lane))
+        assert handed_back and min(handed_back) > 1
