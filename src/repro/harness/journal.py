@@ -62,9 +62,10 @@ def read_journal(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     """Replay a journal file into its list of records.
 
     A partial *final* line (writer killed mid-append) is dropped; an
-    undecodable line anywhere earlier means the file was corrupted by
-    something other than a crash-during-append and raises
-    :class:`SerializationError` naming the path.
+    undecodable line anywhere earlier, or a line that decodes to anything
+    but a JSON object, means the file was corrupted by something other
+    than a crash-during-append and raises :class:`SerializationError`
+    naming the path and line.
     """
     path = os.fspath(path)
     # Read bytes and decode per line: a crash mid-append can truncate the
@@ -85,5 +86,11 @@ def read_journal(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
             raise SerializationError(
                 f"{path}: corrupt journal line {index + 1} ({exc})"
             ) from exc
+        if not isinstance(record, dict):
+            # Every record is written as an object, and no prefix of one
+            # parses as anything else: this is not a crash signature.
+            raise SerializationError(
+                f"{path}: journal line {index + 1} is not a JSON object"
+            )
         records.append(record)
     return records

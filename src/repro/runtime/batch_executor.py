@@ -13,10 +13,10 @@ its one-request case.  For each request it decides:
   lanes of one :func:`repro.sim.batch.run_batch` call
   (``engine == "batch"``).
 - **scalar**: everything else — faulted policies, policies with
-  controller ticks (GreenGPU, scaling-only), instrumented runs,
-  caller-supplied systems or recorders, warmups, non-demand-model
-  workloads, or too few eligible requests to beat the scalar engine
-  (``singleton``; every plain ``run_workload`` is one) — runs
+  controller ticks (GreenGPU, scaling-only) or a divider (division-only),
+  instrumented runs, caller-supplied systems or recorders, warmups,
+  non-demand-model workloads, or too few eligible requests to beat the
+  scalar engine (``singleton``; every plain ``run_workload`` is one) — runs
   :func:`~repro.runtime.executor.simulate`, with the reason recorded in
   ``engine == "scalar:<reason>"``.
 
@@ -42,16 +42,16 @@ FLEET_SCALAR_REASON = "scalar:fleet-custom-system"
 
 #: Fewest lanes worth a batch: below it the numpy dispatch overhead per
 #: tick outweighs the amortization, so the scalar fast path is faster.
-#: Lanes that tick every iteration set it.  Measured scalar/batch time
-#: ratio (16 iterations, time scale 0.25, kmeans/streamcluster/nbody,
-#: 2-vCPU guest, medians of 5) on division-only lanes: 0.45-0.52 at N=2,
-#: 0.79-0.92 at N=4, 1.10-1.19 at N=6, 1.47-1.65 at N=8; ``compare``'s
-#: eligible pair (one static, one division-only lane): 0.41-0.46.
-#: Static lanes replay every iteration after the first and win at any N
-#: (2.8-3.1 at N=1, 5.0-5.6 at N=2, 12.5-13.2 at N=6), but a count
-#: cannot tell the two kinds apart, so the threshold stays at the
-#: ticking lanes' crossover.  Sweeps (21 and 256 lanes) stay batched;
-#: ``compare`` runs scalar.
+#: Every lane is pinned and replays all iterations after its first, so
+#: one-iteration lanes, which have nothing to replay, set it.  Measured
+#: scalar/batch time ratio (time scale 0.25, kmeans/streamcluster/nbody,
+#: 2-vCPU guest, medians of 5) with one iteration: 0.46-0.48 at N=2,
+#: 0.73-0.79 at N=4, 1.11-1.16 at N=6, 1.39-1.51 at N=8.  Lanes with more
+#: iterations win sooner: three iterations read 0.63-0.67 at N=1 and
+#: 1.13-1.27 at N=2; sixteen read 2.87-2.89 at N=1 and 5.06-5.24 at N=2.
+#: A lane count cannot tell those apart, so the threshold stays at the
+#: one-iteration crossover.  Sweeps (21 and 256 lanes) stay batched;
+#: ``compare`` has one eligible lane and runs scalar.
 _MIN_BATCH = 6
 
 
@@ -86,10 +86,10 @@ def classify(request: RunRequest) -> str | None:
     """Why this request cannot ride the batched engine, or None if it can.
 
     The batch engine models exactly the scalar fast path on a fresh
-    default testbed with no clock tasks; anything that injects faults,
-    instruments the run, supplies external state, or runs tier-2 ticks
-    must take the scalar path so those side effects come from a live
-    scalar run.
+    default testbed with both GreenGPU tiers off; anything that injects
+    faults, instruments the run, supplies external state, or runs either
+    tier must take the scalar path so those side effects come from a
+    live scalar run.
     """
     if not isinstance(request.workload, DemandModelWorkload):
         # Only demand-model workloads have the iteration-invariant segment
@@ -111,6 +111,10 @@ def classify(request: RunRequest) -> str | None:
         # Controller ticks: the scalar engine parks the ondemand tick
         # while its decision holds, which lockstep lanes cannot.
         return "ticks"
+    if request.policy.mode.division_enabled:
+        # The tier-1 divider repartitions between iterations; batch lanes
+        # are pinned so that they can replay iteration 0.
+        return "divider"
     return None
 
 

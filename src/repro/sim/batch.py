@@ -9,10 +9,11 @@ integrals, queue heads, clock deadlines — in numpy arrays of shape ``(N,)``
 next-event ``dt`` with one vectorized array op per concern per tick:
 power evaluation, meter integration, utilization/queue advance, and the
 clock-deadline min-chain.  Lanes are independent, so no cross-lane barrier
-is needed: a tick moves lane *i* to lane *i*'s next event.  A pinned-ratio
-lane ticks only its first iteration and replays the rest (see Replay), so
-a static sweep's python-level ticks collapse from ``sum(events_i)`` to the
-longest first iteration; a lane with a divider ticks every iteration.
+is needed: a tick moves lane *i* to lane *i*'s next event.  Every lane
+is pinned — its ratio and frequencies never move — so it ticks only its
+first iteration and replays the rest (see Replay): a static sweep's
+python-level ticks collapse from ``sum(events_i)`` to the longest first
+iteration.
 
 Bit-exactness contract
 ----------------------
@@ -33,11 +34,11 @@ included.  Two rules make this hold:
 
 Replay
 ------
-A lane without a divider repeats one tick sequence every iteration:
-``dt``, head fractions and the wall-watt addends depend only on its
-segment table, never on absolute time.  During iteration 0 the loop
-records such a lane's tape — per tick ``dt``, the two meter addends
-``wall * dt``, the two spin addends — and the ticks that stamp
+A pinned lane repeats one tick sequence every iteration: ``dt``, head
+fractions and the wall-watt addends depend only on its segment table,
+never on absolute time.  During iteration 0 the loop records the tape of
+every lane with more than one iteration — per tick ``dt``, the two meter
+addends ``wall * dt``, the two spin addends — and the ticks that stamp
 ``gpu_done`` / ``cpu_done``.  At the lane's first barrier ``_replay``
 runs iterations 1..n-1, one at a time, as a row-wise ``np.cumsum`` over a
 ``(lanes, ticks + 1)`` array with the carry in column 0, and retires the
@@ -54,13 +55,13 @@ the start of that iteration through ``_begin_iterations_bulk``, and the
 loop raises the scalar engine's ``SimulationError`` — or finishes the
 iteration — exactly as it would have without replay.
 
-Lanes have no clock tasks: frequencies stay where the policy pinned them,
-and the only per-lane events are iteration barriers and repartition
-stalls, which run through the *real* ``WorkloadDivider`` and
-``TraceRecorder`` held per lane.  A policy with tier-2 scaling (GreenGPU,
-scaling-only) runs on the scalar engine, whose ondemand tick parks while
-its decision holds; re-expressing that rule here as well would be a third
-copy of the controller for traffic that does not batch.
+Lanes run only ``TierMode.NONE`` policies: no clock tasks, no divider,
+frequencies and ratio where the policy pinned them, and the only per-lane
+events are iteration barriers.  A policy with either GreenGPU tier runs
+on the scalar engine — tier 2 because its ondemand tick parks while its
+decision holds, tier 1 (division-only) because no measured traffic
+batches it; re-expressing either here would be another copy of the
+controller.
 
 The traffic that reaches this engine is static sweeps: one workload at
 many ratios (or pinned levels), tens to hundreds of lanes.  The
@@ -71,7 +72,7 @@ vectorized iteration restart, and a scalar walk for ticks where one or
 two heads complete.  Every other head advance takes one index loop.
 
 The engine only accepts runs that the scalar fast path would execute on a
-fresh default testbed with no faults, no controller ticks, no
+fresh default testbed with no faults, no controller tiers, no
 audit/telemetry instrumentation, and no warmup (see
 :mod:`repro.runtime.batch_executor` for the dispatch rules); everything
 else runs on the scalar engine.
@@ -83,8 +84,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.core.config import GreenGpuConfig
-from repro.core.division import WorkloadDivider
+from repro.core.controller import TierMode
 from repro.core.policies import Policy
 from repro.errors import SimulationError
 from repro.faults.health import ControlHealth
@@ -92,7 +92,6 @@ from repro.runtime.metrics import IterationMetrics, RunResult
 from repro.runtime.partition import split_units
 from repro.sim.cpu import CpuDevice
 from repro.sim.gpu import GpuDevice
-from repro.sim.trace import TraceRecorder
 from repro.workloads.base import DemandModelWorkload, Workload
 
 _EPS = 1e-12
@@ -123,28 +122,21 @@ class BatchRunRequest:
 
 @dataclass(slots=True)
 class _Lane:
-    """Per-lane cold state: the real divider + segment templates."""
+    """Per-lane cold state: the request and its segment templates."""
 
     workload: Workload
     policy: Policy
     n_iterations: int
     sync_spin: bool
-    repartition_overhead_s: float
     iteration_timeout_s: float
     system: object  # donor HeteroSystem: specs, ladders, frequency state
-    recorder: TraceRecorder
-    divider: WorkloadDivider | None
-    last_ratio: float | None = None
-    segs_units: float = -1.0  # units the templates were built for
     # Row columns staged by _build_segments for _write_segment_rows:
     # (kinds, durs, ests, ucs, ums, cests).
     row_cache: tuple = ()
 
     @property
     def ratio(self) -> float:
-        """Clone of ``GreenGpuController.ratio`` for the no-fault case."""
-        if self.divider is not None:
-            return self.divider.r
+        """Clone of ``GreenGpuController.ratio`` for a pinned policy."""
         r = self.policy.ratio
         return r if r is not None else 0.0
 
@@ -187,20 +179,13 @@ def _make_lane(req: BatchRunRequest, testbed_config,
         system = _LaneDonor(testbed_config)
         req.policy.apply_initial_state(system)
         donor_cache[donor_key] = system
-    divider = None
-    if req.policy.mode.division_enabled:
-        divider = WorkloadDivider(req.policy.config or GreenGpuConfig(),
-                                  r0=req.policy.ratio)
     return _Lane(
         workload=req.workload,
         policy=req.policy,
         n_iterations=req.resolved_iterations(),
         sync_spin=options.sync_spin,
-        repartition_overhead_s=options.repartition_overhead_s,
         iteration_timeout_s=options.iteration_timeout_s,
         system=system,
-        recorder=TraceRecorder(),
-        divider=divider,
     )
 
 
@@ -294,10 +279,6 @@ class _BatchEngine:
         self.it_ge = np.zeros((L, mi))
         self.it_ce = np.zeros((L, mi))
         self._it_lists: tuple | None = None
-        self.div_mask = np.array(
-            [ln.divider is not None for ln in self.lanes], dtype=bool
-        )
-        self._any_div = bool(self.div_mask.any())
         self.spin = np.zeros(L, dtype=bool)
         self.act = np.ones(L, dtype=bool)
         self.sync_spin = np.array([ln.sync_spin for ln in self.lanes])
@@ -326,15 +307,13 @@ class _BatchEngine:
                     col[i] = col[j]
         self.g_wall[:] = self.g_wall_idle
 
-        # Segment tables, sized after the first build (segment counts are
-        # iteration-invariant for DemandModelWorkload queues).  Iteration 0
-        # never repartitions (last_ratio starts unset), so setup is: pick
-        # splits, build templates, size the arrays, then one bulk begin.
+        # Segment tables, built once: the ratio is pinned and
+        # DemandModelWorkload queues are iteration-invariant, so setup is:
+        # pick splits, build templates, size the arrays, one bulk begin.
         self.g_nseg = np.zeros(L, dtype=np.int64)
         self.c_nseg = np.zeros(L, dtype=np.int64)
         for i, lane in enumerate(self.lanes):
             r = lane.ratio
-            lane.last_ratio = r
             cpu_units, gpu_units = split_units(1.0, r)
             self.r_it[i] = r
             self.cpu_units[i] = cpu_units
@@ -345,11 +324,11 @@ class _BatchEngine:
         self.c_ptr = np.zeros(L, dtype=np.int64)
         for i in range(L):
             self._write_segment_rows(i)
-        # Iteration-0 tapes of pinned lanes (see "Replay" in the module
-        # docstring).  Every lane starts iteration 0 on tick 0, so tape
-        # row t is tick t of each lane still in its first iteration; the
-        # five quantities per row are dt and the now/meter/spin addends.
-        self.taping = ~self.div_mask & (self.n_iter > 1)
+        # Iteration-0 tapes (see "Replay" in the module docstring).
+        # Every lane starts iteration 0 on tick 0, so tape row t is tick t
+        # of each lane still in its first iteration; the five quantities
+        # per row are dt and the now/meter/spin addends.
+        self.taping = self.n_iter > 1
         self._taping = bool(self.taping.any())
         # Ticks into iteration 0 when gpu_done / cpu_done were stamped.
         self.g_stamp = np.zeros(L, dtype=np.int64)
@@ -398,7 +377,6 @@ class _BatchEngine:
         lane = self.lanes[i]
         system = lane.system
         workload = lane.workload
-        index = int(self.iter_i[i])
         gpu = system.gpu
         cpu = system.cpu
         # Kernel segments sit in one contiguous block between the leading
@@ -416,7 +394,7 @@ class _BatchEngine:
             if gpu.spec.launch_overhead_s > 0.0:
                 pre.append(gpu.spec.launch_overhead_s)
             npre = len(pre)
-            phases = workload.gpu_phases(gpu_units, index)
+            phases = workload.gpu_phases(gpu_units, 0)
             gtrip = self._estimate_phases(
                 gpu.spec.roofline, phases, gpu.compute_rate, gpu.bandwidth)
             d2h = system.bus.transfer_time(workload.d2h_bytes(gpu_units))
@@ -428,12 +406,11 @@ class _BatchEngine:
             ums = zpre + [t[2] for t in gtrip] + [0.0]
         cphases: list = []
         if cpu_units > 0.0:
-            cphases = workload.cpu_phases(cpu_units, index)
+            cphases = workload.cpu_phases(cpu_units, 0)
         ctrip = self._estimate_phases(
             cpu.spec.roofline, cphases, cpu.compute_rate,
             cpu.spec.host_bandwidth)
         lane.row_cache = (kinds, durs, ests, ucs, ums, [t[0] for t in ctrip])
-        lane.segs_units = gpu_units
 
     def _alloc_segment_arrays(self) -> None:
         L = len(self.lanes)
@@ -533,38 +510,15 @@ class _BatchEngine:
         self.c_est[i] = self.cseg_est[i, p]
         self.c_frac[i] = 0.0
 
-    def _start_iteration(self, i: int) -> None:
-        lane = self.lanes[i]
-        r = lane.ratio
-        if (
-            lane.last_ratio is not None
-            and r != lane.last_ratio
-            and lane.repartition_overhead_s > 0.0
-        ):
-            self.spin[i] = True
-            self._lane_run_for(i, lane.repartition_overhead_s)
-            self.spin[i] = False
-        lane.last_ratio = r
-        cpu_units, gpu_units = split_units(1.0, r)
-        if gpu_units != lane.segs_units:
-            self._build_segments(i, cpu_units, gpu_units)
-            self._write_segment_rows(i)
-        self.r_it[i] = r
-        self.cpu_units[i] = cpu_units
-        self.gpu_units[i] = gpu_units
-        self._begin_iterations_bulk(np.array([i]))
-
     def _begin_iterations_bulk(self, idx: np.ndarray) -> None:
         """Start the next iteration of every lane in ``idx``.
 
-        Valid only when ``r_it``/``cpu_units``/``gpu_units`` and the
-        segment rows already describe the lanes' next iteration — true at
-        construction (the setup loop fills them), at every boundary of a
-        divider-less lane (the ratio is pinned, so nothing rebuilds), and
-        after ``_start_iteration`` has repartitioned a divider lane.
-        Iteration restarts happen batch-wide on the same tick for lanes
-        with equal segment counts, so this replaces the dominant per-lane
-        Python cost of static sweeps with a dozen array ops.
+        ``r_it``/``cpu_units``/``gpu_units`` and the segment rows describe
+        every iteration of a lane (the setup loop fills them and the
+        pinned ratio never rebuilds them).  Iteration restarts happen
+        batch-wide on the same tick for lanes with equal segment counts,
+        so this replaces the dominant per-lane Python cost of static
+        sweeps with a dozen array ops.
         """
         t0 = self.now[idx]
         self.t0_it[idx] = t0
@@ -599,33 +553,6 @@ class _BatchEngine:
         self.it_dl[idx] = t0 + self.it_timeout[idx]
         self.spin[idx] = self.sync_spin[idx] & ~c_has & g_has
 
-    def _lane_run_for(self, i: int, duration: float) -> None:
-        """Clone of ``HeteroSystem.run_for`` for an idle-device lane.
-
-        Only reached for the repartition stall, where both queues are
-        empty and the CPU spins; with no clock tasks, each step runs to
-        the horizon exactly like the scalar loop.
-        """
-        end = float(self.now[i]) + duration
-        guard = 0
-        while float(self.now[i]) < end - 1e-12:
-            guard += 1
-            if guard > _MAX_TICKS:
-                raise SimulationError("step explosion inside repartition")
-            now_i = float(self.now[i])
-            dt = end - now_i
-            cpu_pw = (
-                float(self.cpu_busy_w[i]) if self.spin[i]
-                else float(self.cpu_idle_w[i])
-            )
-            gpu_pw = float(self.g_base[i])
-            self.mc_e[i] += ((cpu_pw + self.OVH1) / self.EFF1) * dt
-            self.mg_e[i] += ((gpu_pw + self.OVH2) / self.EFF2) * dt
-            if self.spin[i]:
-                self.c_spin_s[i] += dt
-                self.c_spin_e[i] += cpu_pw * dt
-            self.now[i] = now_i + dt
-
     def _finish_boundaries(self, idx: np.ndarray) -> None:
         # Metric terms are elementwise float64, so computing them for the
         # whole boundary cohort at once is bitwise the per-lane arithmetic.
@@ -653,32 +580,10 @@ class _BatchEngine:
         live = self.iter_i[idx] < self.n_iter[idx]
         self.act[idx] = live
         cont = idx[live]
-        if self._any_div:
-            # Dividers repartition between iterations: they need the
-            # scalar tc/tg and a per-lane rebuild, so they peel off the
-            # vectorized bulk restart below.
-            dsel = self.div_mask[idx]
-            if dsel.any():
-                il = idx.tolist()
-                tcl = tcv.tolist()
-                tgl = tgv.tolist()
-                nowl = nowv.tolist()
-                livel = live.tolist()
-                for k in np.flatnonzero(dsel).tolist():
-                    i = il[k]
-                    lane = self.lanes[i]
-                    decision = lane.divider.update(tcl[k], tgl[k])
-                    lane.recorder.record_many(
-                        nowl[k], division_r=decision.r_next,
-                        tc=tcl[k], tg=tgl[k],
-                    )
-                    if livel[k]:
-                        self._start_iteration(i)
-                cont = cont[~self.div_mask[cont]]
         if self._taping:
             first = self.taping[cont]
             if first.any():
-                # Pinned lanes at their first barrier: iteration 0's tape
+                # Lanes at their first barrier: iteration 0's tape
                 # stands in for every later iteration the deadline cannot
                 # bind; the rest come back to tick.
                 rp = cont[first]
@@ -688,13 +593,13 @@ class _BatchEngine:
             if not self._taping:
                 self._tape = None
         if cont.size:
-            # Pinned ratio: nothing to repartition or rebuild, so the
-            # restart is one vectorized bulk begin.
+            # Pinned ratio: nothing to rebuild, so the restart is one
+            # vectorized bulk begin.
             self._begin_iterations_bulk(cont)
         self._all_act = bool(self.act.all())
 
     def _replay(self, idx: np.ndarray) -> np.ndarray:
-        """Run iterations 1.. of pinned lanes from their iteration-0 tape.
+        """Run iterations 1.. of lanes from their iteration-0 tape.
 
         Each iteration is one row-wise ``cumsum`` per quantity with the
         lane's carry in column 0: ``np.cumsum`` accumulates strictly left
@@ -1057,7 +962,7 @@ class _BatchEngine:
             cpu_spin_energy_j=float(self.c_spin_e[i]),
             cpu_energy_emulated_idle_spin_j=0.0,
             final_ratio=final_ratio,
-            traces=lane.recorder.as_dict(),
+            traces={},  # a TierMode.NONE controller records nothing
             health=ControlHealth(),
             engine="batch",
         )
@@ -1091,8 +996,8 @@ def run_batch(requests: list[BatchRunRequest]) -> list[RunResult]:
             )
         if req.policy.fault_plan is not None:
             raise SimulationError("faulted runs must use the scalar engine")
-        if req.policy.mode.scaling_enabled:
+        if req.policy.mode is not TierMode.NONE:
             raise SimulationError(
-                "runs with controller ticks must use the scalar engine"
+                f"{req.policy.mode.value} runs must use the scalar engine"
             )
     return _BatchEngine(requests).run()

@@ -87,6 +87,20 @@ class TestJournal:
         with pytest.raises(SerializationError, match="journal line 2"):
             read_journal(path)
 
+    @pytest.mark.parametrize("line", ["[1, 2]", "7", '"job_start"', "null"])
+    @pytest.mark.parametrize("position", ["first", "last"])
+    def test_non_object_line_raises(self, tmp_path, line, position):
+        # Valid JSON that is not a record is corruption wherever it sits:
+        # no prefix of a written record parses as a non-object.
+        path = tmp_path / "journal.jsonl"
+        good = json.dumps({"event": "run_start"})
+        rows = [line, good] if position == "first" else [good, line]
+        path.write_text("\n".join(rows) + "\n")
+        lineno = 1 if position == "first" else 2
+        match = f"journal line {lineno} is not a JSON object"
+        with pytest.raises(SerializationError, match=match):
+            read_journal(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         good = json.dumps({"event": "run_start"})

@@ -8,12 +8,12 @@ bit** — energies, times, division/frequency traces, iteration metrics,
 health counters — not merely approximately.  ``result_to_dict`` equality
 is the whole-surface bitwise comparison.
 
-Lanes never carry controller ticks: GreenGPU and scaling-only runs take
-the scalar engine, and ``run_batch`` rejects them.
+Lanes never carry a GreenGPU tier: GreenGPU, scaling-only and
+division-only runs take the scalar engine, and ``run_batch`` rejects
+them.
 
-Pinned-ratio lanes tick only their first iteration and replay the rest
-from its tape; the replay and deadline classes below pin that path to
-the same oracle.
+Lanes tick only their first iteration and replay the rest from its tape;
+the replay and deadline classes below pin that path to the same oracle.
 """
 
 import dataclasses
@@ -30,7 +30,7 @@ from repro.runtime.executor import run_workload
 from repro.sim.batch import BatchRunRequest, batch_eligible, run_batch
 
 WORKLOADS = ["kmeans", "hotspot", "nbody", "streamcluster"]
-POLICIES = ["division-only", "best-performance", "rodinia-default", "static"]
+POLICIES = ["best-performance", "rodinia-default", "static"]
 
 
 def _policy(name, time_scale, static_ratio, level):
@@ -73,14 +73,14 @@ ORACLE_EXAMPLES = (
 )
 
 #: One lane's free parameters.  Ratios are raw floats (not a grid) so the
-#: divider/partition math is exercised off the usual 0.05 lattice.
+#: partition math is exercised off the usual 0.05 lattice.
 LANE = st.tuples(
     st.sampled_from(WORKLOADS),
     st.sampled_from(POLICIES),
     st.floats(0.0, 0.95),
     st.integers(0, 2),
-    # Up to six iterations, so most pinned lanes replay iterations 1..n-1
-    # from their iteration-0 tape rather than ticking them.
+    # Up to six iterations, so most lanes replay iterations 1..n-1 from
+    # their iteration-0 tape rather than ticking them.
     st.integers(1, 6),
 )
 
@@ -113,11 +113,11 @@ class TestLaneEquivalenceDeterministic:
         """One batch mixing workloads, policies, iteration counts, and
         sync-spin modes — lanes must not bleed into each other."""
         requests = [
-            _request("kmeans", "division-only", 0.0, 0, 4, 0.05),
+            _request("kmeans", "static", 0.2, 2, 4, 0.05),
             _request("hotspot", "static", 0.55, 1, 2, 0.05),
-            _request("nbody", "division-only", 0.0, 0, 3, 0.05),
+            _request("nbody", "best-performance", 0.0, 0, 3, 0.05),
             _request("streamcluster", "rodinia-default", 0.0, 0, 1, 0.05),
-            _request("kmeans", "division-only", 0.0, 0, 2, 0.05,
+            _request("kmeans", "static", 0.45, 0, 2, 0.05,
                      sync_spin=False),
         ]
         for request, result in zip(requests, run_batch(requests)):
@@ -175,6 +175,11 @@ class TestLaneEquivalenceDeterministic:
         with pytest.raises(SimulationError):
             run_batch([request])
 
+    def test_divider_policy_rejected(self):
+        request = _request("kmeans", "division-only", 0.0, 0, 1, 0.05)
+        with pytest.raises(SimulationError):
+            run_batch([request])
+
     def test_empty_batch_rejected(self):
         with pytest.raises(SimulationError):
             run_batch([])
@@ -198,20 +203,19 @@ class TestReplayEquivalence:
         for request, result in zip(requests, run_batch(requests)):
             assert result_to_dict(result) == result_to_dict(_scalar(request))
 
-    def test_replayed_lanes_beside_ticking_divider_lanes(self):
-        """Pinned lanes of 1, 2, 7 and 16 iterations retire at their
-        first barrier while division-only lanes keep ticking every
-        iteration in the same batch."""
+    def test_replayed_lanes_beside_ticking_lanes(self):
+        """Lanes of 2, 7 and 16 iterations retire at their first barrier
+        while one-iteration lanes, which tick and never tape, are still
+        running or finish beside them in the same batch."""
         requests = [
             _request(workload, "static", ratio, level, n, 0.05)
             for workload, ratio, level, n in [
                 ("kmeans", 0.3, 0, 1), ("hotspot", 0.55, 1, 2),
                 ("nbody", 0.0, 2, 7), ("streamcluster", 1.0, 0, 16),
                 ("kmeans", 0.8, 1, 16), ("hotspot", 0.15, 0, 7),
+                ("streamcluster", 0.4, 2, 1), ("nbody", 0.6, 1, 1),
             ]
         ] + [
-            _request("kmeans", "division-only", 0.0, 0, 7, 0.05),
-            _request("nbody", "division-only", 0.0, 0, 16, 0.05),
             _request("streamcluster", "best-performance", 0.0, 0, 2, 0.05),
         ]
         for request, result in zip(requests, run_batch(requests)):
@@ -250,7 +254,7 @@ class TestDeadlineParity:
         wall = _scalar(probe).iterations[0].wall_s
         neighbours = [
             _request("kmeans", "static", 0.7, 1, 5, 0.05),
-            _request("nbody", "division-only", 0.0, 0, 3, 0.05),
+            _request("nbody", "static", 0.25, 0, 1, 0.05),
         ]
         seen = set()
         for timeout in self._timeouts(wall):

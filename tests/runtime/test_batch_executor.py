@@ -11,7 +11,11 @@ import pytest
 
 from repro.analysis.serialize import result_to_dict
 from repro.cache import ResultCache
-from repro.core.policies import GreenGpuPolicy, StaticPolicy
+from repro.core.policies import (
+    DivisionOnlyPolicy,
+    GreenGpuPolicy,
+    StaticPolicy,
+)
 from repro.errors import SimulationError
 from repro.faults.injector import fault_profile
 from repro.runtime.batch_executor import (
@@ -65,6 +69,7 @@ class TestClassify:
         ({"audit": object()}, "audit"),
         ({"warmup_s": 0.5}, "warmup"),
         ({"policy": GreenGpuPolicy()}, "ticks"),
+        ({"policy": DivisionOnlyPolicy()}, "divider"),
     ])
     def test_ineligible_reasons(self, overrides, reason):
         assert classify(_request(**overrides)) == reason
@@ -111,11 +116,12 @@ class TestDispatchTable:
             *lanes[1:],                                    # batch
             _request(warmup_s=0.2),                        # scalar:warmup
             _request(policy=GreenGpuPolicy()),             # scalar:ticks
+            _request(policy=DivisionOnlyPolicy()),         # scalar:divider
         ]
         results = BatchExecutor().run_many(requests)
         assert [r.engine for r in results] == [
             "batch", "scalar:faults", *["batch"] * (_MIN_BATCH - 1),
-            "scalar:warmup", "scalar:ticks",
+            "scalar:warmup", "scalar:ticks", "scalar:divider",
         ]
 
     def test_scalar_fallback_matches_run_workload(self):

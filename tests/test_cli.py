@@ -67,10 +67,10 @@ class TestCompare:
         instrumented = capsys.readouterr().out
         assert instrumented.startswith(plain)
         assert "telemetry written" in instrumented[len(plain):]
-        # Two static lanes are too few to batch; GreenGPU and
-        # scaling-only carry controller ticks.
+        # One static lane is too few to batch; GreenGPU and scaling-only
+        # carry controller ticks, and division-only a divider.
         assert engines == [
-            ["scalar:singleton", "scalar:ticks", "scalar:singleton",
+            ["scalar:singleton", "scalar:ticks", "scalar:divider",
              "scalar:ticks"],
             ["scalar:telemetry"] * 4,
         ]
@@ -136,6 +136,19 @@ class TestSweep:
         assert main(["sweep", "--workload", "kmeans", *flags]) == 2
         err = capsys.readouterr().err
         assert "error:" in err and "Traceback" not in err
+
+    def test_sweep_resume_over_non_object_journal_line_exits_2(
+            self, capsys, tmp_path):
+        run_dir = tmp_path / "sweep-run"
+        run_dir.mkdir()
+        (run_dir / "journal.jsonl").write_text("[1,2]\n")
+        assert main(["sweep", "--workload", "kmeans", "--run-dir",
+                     str(run_dir), "--resume", "--step", "0.5",
+                     "--iterations", "1", "--time-scale", "0.05",
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "journal line 1 is not a JSON object" in err
+        assert "Traceback" not in err
 
     def test_sweep_resume_without_run_dir_errors(self, capsys):
         assert main(["sweep", "--workload", "kmeans", "--resume"]) == 2
