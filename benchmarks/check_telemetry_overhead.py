@@ -11,22 +11,31 @@ a flag check in ``_apply_gpu_frequencies``.
 This script measures that probe sequence in isolation (minus the bare
 loop cost) and divides it by the wall time of the *genuine*
 ``GreenGpuController._scaling_tick`` driven against a calibrated
-testbed — no synthetic stand-in for the denominator.  The minimum over
+testbed — no synthetic stand-in for the denominator.  The testbed's GPU
+advances one scaling interval between ticks, outside the timed region,
+so every tick reads a fresh ``nvidia-smi`` sample and makes a WMA
+decision; the run fails unless every tick did (a tick on an empty
+window is the much cheaper monitor-fault skip).  The minimum over
 several trials is used for each quantity (minimums are robust to
 scheduler noise on shared CI runners).  Exit status 0 iff
 
     probe_cost / (tick_cost - probe_cost) < BUDGET
 
 The decision audit trail (:mod:`repro.telemetry.audit`) has its own
-budget: its ``note_*`` writers append raw tuples and copy one small
-weight matrix per tick, deferring every derivation to render time, so an
-audit-enabled tick must stay within ``--audit-budget`` (default 5 %) of
-the bare tick.  Measured on the real controller and testbed, but in
-back-to-back pairs: each trial times a plain and an audited run next to
-each other (alternating which goes first) and the gate reads the median
-of the per-pair ratios.  Timing all plain trials before all audited ones
-let drift in the host's speed between the two blocks read as overhead —
-as wide as the budget itself.
+budget: its ``note_*`` writers append one small tuple per tick and
+defer every derivation (the weight table included) to render time, so
+an audit-enabled tick must stay within ``--audit-budget`` (default 5 %)
+of the bare tick.  Measured on the real controller and testbed, in
+back-to-back pairs: each pair times a plain and an audited run of
+``PAIR_TICKS`` ticks next to each other (alternating which goes first)
+and the gate reads the median of ``PAIRS`` per-pair ratios.  Timing all
+plain trials before all audited ones let drift in the host's speed
+between the two blocks read as overhead; so did pairs of second-long
+runs (single pair ratios spread from -9 % to +22 % on a 2-vCPU guest,
+and the median of seven moved by several points from run to run).
+Many short pairs see less drift each and give a stable median.  Every
+audited run starts a new trail, so the memory the trail takes is paid
+for in every pair.
 
 The distributed-tracing layer rides the same span sites, so the same
 disabled-path gate covers it: a disabled run never derives a span id.
@@ -55,6 +64,8 @@ from repro.telemetry import NOOP
 
 TICKS = 50_000
 TRIALS = 7
+PAIRS = 70
+PAIR_TICKS = 5_000
 
 
 class _Carrier:
@@ -119,21 +130,50 @@ def bench_enabled_span() -> float:
     return time.perf_counter() - t0
 
 
+def bench_timer() -> float:
+    """Cost of the timer pair :func:`bench_tick` puts around each tick,
+    over ``PAIR_TICKS`` ticks."""
+    clock = time.perf_counter
+    elapsed = 0.0
+    for _ in range(PAIR_TICKS):
+        t0 = clock()
+        elapsed += clock() - t0
+    return elapsed
+
+
 def bench_tick(audit: bool = False) -> float:
-    """Real scaling ticks: monitor query, WMA step, actuate + verify."""
+    """``PAIR_TICKS`` real clean scaling ticks: monitor query, WMA step,
+    actuate + verify.
+
+    Between ticks, and outside the timing, the GPU advances one scaling
+    interval, so each tick reads a fresh sample.  Raises if any tick was
+    not a fresh WMA decision.
+    """
     from repro.telemetry.audit import AuditTrail
 
     controller = GreenGpuPolicy(config=GreenGpuConfig()).make_controller(
         None, audit=AuditTrail() if audit else None
     )
-    controller.attach(make_testbed())
+    system = make_testbed()
+    controller.attach(system)
     interval = controller.config.scaling_interval_s
     tick = controller._scaling_tick
-    t0 = time.perf_counter()
-    for i in range(TICKS):
+    advance = system.gpu.advance
+    clock = time.perf_counter
+    elapsed = 0.0
+    for i in range(1, PAIR_TICKS + 1):
+        advance(interval)
+        t0 = clock()
         tick(i * interval)
-    elapsed = time.perf_counter() - t0
+        elapsed += clock() - t0
+    decisions = controller.scaler.decisions
+    monitor_faults = controller.health.monitor_faults
     controller.detach()
+    if decisions != PAIR_TICKS or monitor_faults != 0:
+        raise RuntimeError(
+            f"timed {PAIR_TICKS} ticks but {decisions} were WMA decisions and "
+            f"{monitor_faults} hit a monitor fault"
+        )
     return elapsed
 
 
@@ -150,20 +190,22 @@ def main(argv: list[str] | None = None) -> int:
     probes = min(bench_probes() for _ in range(TRIALS))
     noop_trace = min(bench_noop_trace() for _ in range(TRIALS))
     enabled_span = min(bench_enabled_span() for _ in range(TRIALS))
+    timer = min(bench_timer() for _ in range(TRIALS))
     ticks, ratios = [], []
-    for trial in range(TRIALS):
-        order = (False, True) if trial % 2 == 0 else (True, False)
-        pair = {audit: bench_tick(audit=audit) for audit in order}
+    for pair_index in range(PAIRS):
+        order = (False, True) if pair_index % 2 == 0 else (True, False)
+        pair = {audit: bench_tick(audit=audit) - timer for audit in order}
         ticks.append(pair[False])
         ratios.append(pair[True] / pair[False])
-    tick = min(ticks)
+    # Per-tick seconds: the probe loops run TICKS, each tick run PAIR_TICKS.
+    tick = min(ticks) / PAIR_TICKS
     audit_ratio = statistics.median(ratios)
-    probe_cost = max(probes - baseline, 0.0)
+    probe_cost = max(probes - baseline, 0.0) / TICKS
     overhead = probe_cost / (tick - probe_cost)
     audit_overhead = audit_ratio - 1.0
 
     per_tick = 1e9 / TICKS
-    print(f"probe sequence : {probe_cost * per_tick:9.1f} ns/tick "
+    print(f"probe sequence : {probe_cost * 1e9:9.1f} ns/tick "
           f"(min of {TRIALS}, {TICKS} ticks)")
     print(f"noop trace api : "
           f"{max(noop_trace - baseline, 0.0) * per_tick:9.1f} ns/triple "
@@ -171,9 +213,10 @@ def main(argv: list[str] | None = None) -> int:
     print(f"enabled span   : "
           f"{max(enabled_span - baseline, 0.0) * per_tick:9.1f} ns/span "
           f"(informational)")
-    print(f"scaling tick   : {tick * per_tick:9.1f} ns/tick")
-    print(f"audited tick   : {tick * audit_ratio * per_tick:9.1f} ns/tick "
-          f"(plain x median of {TRIALS} paired ratios)")
+    print(f"scaling tick   : {tick * 1e9:9.1f} ns/tick "
+          f"(min of {PAIRS}, {PAIR_TICKS} ticks)")
+    print(f"audited tick   : {tick * audit_ratio * 1e9:9.1f} ns/tick "
+          f"(plain x median of {PAIRS} paired ratios)")
     print(f"disabled-telemetry overhead: {overhead:+.2%} "
           f"(budget {args.budget:.0%})")
     print(f"audit-trail overhead       : {audit_overhead:+.2%} "

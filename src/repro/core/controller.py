@@ -71,12 +71,12 @@ flag and defers all derivation off the hot tick.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from repro.core.config import GreenGpuConfig
 from repro.core.division import WorkloadDivider
 from repro.core.ondemand import OndemandGovernor
-from repro.core.wma import WmaFrequencyScaler
+from repro.core.wma import ScalingDecision, WmaFrequencyScaler
 from repro.errors import ActuationError, MonitorError, SimulationError
 from repro.faults.health import HEALTH_FIELDS, ControlHealth, counter_name
 from repro.faults.injector import FaultInjector
@@ -228,6 +228,8 @@ class GreenGpuController:
             self.scaler = WmaFrequencyScaler(
                 system.gpu.spec.core_ladder, system.gpu.spec.mem_ladder, cfg
             )
+            if self._audit_on:
+                self.audit.note_scaler(self.scaler)
             self.governor = OndemandGovernor(
                 system.cpu.spec.ladder,
                 up_threshold=cfg.ondemand_up_threshold,
@@ -339,7 +341,7 @@ class GreenGpuController:
         return (min(ci, len(spec.core_ladder) - 1),
                 min(cj, len(spec.mem_ladder) - 1))
 
-    def _apply_ceiling(self, decision):
+    def _apply_ceiling(self, decision: ScalingDecision) -> ScalingDecision:
         """Clamp one scaling decision to the ladder ceiling (if any)."""
         if self._level_ceiling == (0, 0):
             return decision
@@ -348,10 +350,10 @@ class GreenGpuController:
         ci, cj = self._clamped_ceiling(spec)
         i = max(decision.core_level, ci)
         j = max(decision.mem_level, cj)
-        if (i, j) == (decision.core_level, decision.mem_level):
+        if i == decision.core_level and j == decision.mem_level:
             return decision
-        return replace(decision, core_level=i, mem_level=j,
-                       f_core=spec.core_ladder[i], f_mem=spec.mem_ladder[j])
+        return ScalingDecision(i, j, spec.core_ladder[i], spec.mem_ladder[j],
+                               decision.core_loss, decision.mem_loss)
 
     # -- hardening plumbing --------------------------------------------------------
 
@@ -533,10 +535,10 @@ class GreenGpuController:
         if self._audit_on:
             # After _note_tick_outcome so `degraded` reflects whether the
             # watchdog's safe state overrides this decision.
+            # weights=None: the trail replays the scaler at render time.
             self.audit.note_scaling(
                 t, sample.u_core, sample.u_mem, decision, source,
-                actuated=actuated, degraded=self._degraded,
-                weights=self.scaler.table.weights, power_w=power_w,
+                actuated, self._degraded, None, power_w,
             )
 
     def _ondemand_tick(self, t: float) -> None:

@@ -15,6 +15,12 @@ currently enforced), the scaler can jump straight to the best pair after a
 utilization change — the behaviour the paper highlights in Fig. 5a ("it
 can adjust the GPU core and memory frequencies directly to the best
 levels").
+
+Steps 2-3 depend only on ``(u_c, u_m)`` and the frozen config, and
+utilizations repeat (an idle GPU reads 0/0, a saturated one 1/1), so each
+scaler memoizes the loss vectors and the Eq. 4 factor row per distinct
+input; a tick on a seen input is one pass of 36 float multiplies over the
+weight table (:mod:`repro.core.weights`).
 """
 
 from __future__ import annotations
@@ -25,13 +31,21 @@ import numpy as np
 
 from repro.core.config import GreenGpuConfig
 from repro.core.loss import loss_vector, total_loss_matrix
-from repro.core.weights import WeightTable
+from repro.core.weights import WeightTable, eq4_factors
 from repro.sim.frequency import FrequencyLadder
+
+#: Distinct ``(u_core, u_mem)`` inputs one scaler keeps the losses of;
+#: a full memo forgets its oldest entry.
+_MEMO_SIZE = 256
 
 
 @dataclass(frozen=True, slots=True)
 class ScalingDecision:
-    """Outcome of one WMA interval."""
+    """Outcome of one WMA interval.
+
+    The loss vectors are read-only: decisions made from the same input
+    share them.
+    """
 
     core_level: int
     mem_level: int
@@ -99,6 +113,8 @@ class WmaFrequencyScaler:
         )
         self.table = WeightTable(len(core_ladder), len(mem_ladder))
         self.decisions: int = 0
+        self._memo: dict[tuple[float, float],
+                         tuple[np.ndarray, np.ndarray, tuple[float, ...]]] = {}
 
     @property
     def umean_core(self) -> np.ndarray:
@@ -110,26 +126,51 @@ class WmaFrequencyScaler:
 
     def step(self, u_core: float, u_mem: float) -> ScalingDecision:
         """Run one interval of Algorithm 1 and return the chosen pair."""
-        cfg = self.config
-        lc = loss_vector(u_core, self._umean_core, cfg.alpha_core)
-        lm = loss_vector(u_mem, self._umean_mem, cfg.alpha_mem)
-        total = total_loss_matrix(lc, lm, cfg.phi)
-        self.table.update(total, cfg.beta)
-        i, j = self.table.best_pair()
+        entry = self._memo.get((u_core, u_mem))
+        if entry is None:
+            entry = self._losses(u_core, u_mem)
+        core_loss, mem_loss, factors = entry
+        table = self.table
+        table.apply_factors(factors)
+        i, j = table.best_pair()
         self.decisions += 1
         return ScalingDecision(
             core_level=i,
             mem_level=j,
-            f_core=self.core_ladder[i],
-            f_mem=self.mem_ladder[j],
-            core_loss=lc,
-            mem_loss=lm,
+            f_core=self.core_ladder.levels[i],
+            f_mem=self.mem_ladder.levels[j],
+            core_loss=core_loss,
+            mem_loss=mem_loss,
         )
+
+    def _losses(
+        self, u_core: float, u_mem: float,
+    ) -> tuple[np.ndarray, np.ndarray, tuple[float, ...]]:
+        """Table-I loss vectors and Eq. 4 factor row for one input.
+
+        All three are pure functions of the input and the frozen config,
+        so they are memoized per scaler (``step`` sees the same input
+        again on most ticks); the loss vectors are shared by every
+        decision made from that input, hence read-only.
+        """
+        cfg = self.config
+        core_loss = loss_vector(u_core, self._umean_core, cfg.alpha_core)
+        mem_loss = loss_vector(u_mem, self._umean_mem, cfg.alpha_mem)
+        factors = eq4_factors(total_loss_matrix(core_loss, mem_loss, cfg.phi),
+                              self.table.shape, cfg.beta)
+        core_loss.flags.writeable = False
+        mem_loss.flags.writeable = False
+        memo = self._memo
+        if len(memo) >= _MEMO_SIZE:
+            del memo[next(iter(memo))]
+        entry = memo[(u_core, u_mem)] = (core_loss, mem_loss, factors)
+        return entry
 
     def reset(self) -> None:
         """Forget all learned weights (start of a new workload)."""
         self.table.reset()
         self.decisions = 0
+        self._memo.clear()
 
     # -- introspection used by tests and the design-ablation benches --------------
 

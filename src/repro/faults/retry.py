@@ -121,13 +121,15 @@ def call_with_retry(
     not a transient fault).
     """
     policy = policy or RetryPolicy()
-    backoff = policy.backoff_state()
+    backoff: BackoffState | None = None  # built on the first failure
     last: Exception | None = None
     for attempt in range(policy.max_attempts):
         try:
             return fn(), attempt
         except retry_on as exc:
             last = exc
+            if backoff is None:
+                backoff = policy.backoff_state()
             backoff_s = backoff.next_backoff()
             if attempt + 1 < policy.max_attempts and on_retry is not None:
                 on_retry(attempt, backoff_s, exc)

@@ -61,13 +61,30 @@ def ceiling_for_cap(config: TestbedConfig,
     cap (the allocators never grant below the floor bound, so that case
     means the cap itself was infeasible).
     """
+    return _ceiling_on(_diagonal_bounds(config), cap_w)
+
+
+def _diagonal_bounds(
+    config: TestbedConfig,
+) -> tuple[tuple[tuple[int, int], float], ...]:
+    """Each ladder-diagonal pair, peak first, with its wall-power bound.
+
+    The last pair is the ladder floors.
+    """
     n_core = len(config.gpu.core_ladder)
     n_mem = len(config.gpu.mem_ladder)
-    for k in range(max(n_core, n_mem)):
-        pair = (min(k, n_core - 1), min(k, n_mem - 1))
-        if wall_power_bound_w(config, *pair) <= cap_w + _VIOLATION_EPS_W:
+    pairs = [(min(k, n_core - 1), min(k, n_mem - 1))
+             for k in range(max(n_core, n_mem))]
+    return tuple((pair, wall_power_bound_w(config, *pair)) for pair in pairs)
+
+
+def _ceiling_on(bounds: tuple[tuple[tuple[int, int], float], ...],
+                cap_w: float) -> tuple[int, int]:
+    """The first pair of ``bounds`` that fits ``cap_w``, else the floors."""
+    for pair, bound_w in bounds:
+        if bound_w <= cap_w + _VIOLATION_EPS_W:
             return pair
-    return (n_core - 1, n_mem - 1)
+    return bounds[-1][0]
 
 
 @dataclass(frozen=True)
@@ -147,6 +164,9 @@ class FleetNode:
             faults=self.injector,
         )
         self.controller.attach(self.system)
+        # The bounds depend only on the node's hardware: computed once,
+        # not once per coordination window.
+        self._ceiling_bounds = _diagonal_bounds(self.config)
         self._compute_frac, self._mem_frac = scenario.node_mix(node_id)
         self._cap_w = float("inf")
         self._violation_ticks = 0
@@ -164,7 +184,7 @@ class FleetNode:
         if cap_w <= 0.0:
             raise ConfigError(f"node {self.node_id}: cap must be positive")
         self._cap_w = cap_w
-        ceiling = ceiling_for_cap(self.config, cap_w)
+        ceiling = _ceiling_on(self._ceiling_bounds, cap_w)
         self.controller.set_level_ceiling(*ceiling)
         return ceiling
 

@@ -31,6 +31,9 @@ from repro.errors import SerializationError
 
 JOURNAL_NAME = "journal.jsonl"
 
+#: Fields every reader keys on; each is a string wherever it appears.
+_STRING_FIELDS = ("event", "job")
+
 
 class Journal:
     """Append-only, fsync-per-record JSONL writer."""
@@ -62,10 +65,11 @@ def read_journal(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
     """Replay a journal file into its list of records.
 
     A partial *final* line (writer killed mid-append) is dropped; an
-    undecodable line anywhere earlier, or a line that decodes to anything
-    but a JSON object, means the file was corrupted by something other
-    than a crash-during-append and raises :class:`SerializationError`
-    naming the path and line.
+    undecodable line anywhere earlier, a line that decodes to anything
+    but a JSON object, or an ``event`` or ``job`` field that is not a
+    string means the file was corrupted by something other than a
+    crash-during-append and raises :class:`SerializationError` naming
+    the path and line.
     """
     path = os.fspath(path)
     # Read bytes and decode per line: a crash mid-append can truncate the
@@ -92,5 +96,11 @@ def read_journal(path: str | os.PathLike[str]) -> list[dict[str, Any]]:
             raise SerializationError(
                 f"{path}: journal line {index + 1} is not a JSON object"
             )
+        for name in _STRING_FIELDS:
+            if name in record and not isinstance(record[name], str):
+                raise SerializationError(
+                    f"{path}: journal line {index + 1} has a non-string "
+                    f"{name!r} field"
+                )
         records.append(record)
     return records

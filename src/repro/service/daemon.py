@@ -41,7 +41,7 @@ import os
 import time
 from typing import Any
 
-from repro.errors import ServiceError
+from repro.errors import SerializationError, ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.harness import attempt
 from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
@@ -169,7 +169,12 @@ class SimulationService:
                              workers=self.config.workers,
                              resume=bool(prior))
         if prior:
-            self._recover(prior)
+            try:
+                self._recover(prior)
+            except SerializationError:
+                self._journal.close()
+                self._journal = None
+                raise
         for index in range(self.config.workers):
             self._tasks.append(
                 asyncio.create_task(self._worker_loop(index),
@@ -197,15 +202,8 @@ class SimulationService:
             event = rec.get("event")
             job_id = rec.get("job")
             if event == "job_submitted" and job_id:
-                request = request_from_dict(rec["request"])
-                record = JobRecord(job_id=job_id, request=request)
-                record.trace = TraceContext.parse(rec.get("traceparent"))
-                record.submitted_unix = rec.get("submitted_unix", now_unix)
-                deadline_unix = rec.get("deadline_unix")
-                if deadline_unix is not None:
-                    record.deadline_monotonic = now + (deadline_unix - now_unix)
+                record, number = self._submitted_record(rec, now, now_unix)
                 submitted[job_id] = record
-                number = int(job_id.rsplit("-", 1)[-1])
                 self._seq = max(self._seq, number)
             elif event == "job_cached" and job_id in submitted:
                 record = submitted[job_id]
@@ -252,6 +250,37 @@ class SimulationService:
             self._journal.record("service_resumed", jobs=resumed)
             self.telemetry.counter("service_resumed_jobs_total").inc(resumed)
             self._wake.set()
+
+    def _submitted_record(self, rec: dict[str, Any], now: float,
+                          now_unix: float) -> tuple[JobRecord, int]:
+        """A journaled ``job_submitted`` record as a job and its sequence
+        number; :class:`SerializationError` if a field is malformed."""
+        job_id = rec["job"]
+        where = f"{os.path.join(self.run_dir, JOURNAL_NAME)}: job {job_id!r}"
+        try:
+            number = int(job_id.rsplit("-", 1)[-1])
+        except ValueError:
+            raise SerializationError(
+                f"{where}: the job id has no sequence number") from None
+        try:
+            request = request_from_dict(rec.get("request"))
+        except SerializationError as exc:
+            raise SerializationError(f"{where}: {exc}") from None
+        for name in ("submitted_unix", "deadline_unix"):
+            value = rec.get(name)
+            if value is not None and (isinstance(value, bool)
+                                      or not isinstance(value, (int, float))):
+                raise SerializationError(f"{where}: {name!r} is not a number")
+        traceparent = rec.get("traceparent")
+        if traceparent is not None and not isinstance(traceparent, str):
+            raise SerializationError(f"{where}: 'traceparent' is not a string")
+        record = JobRecord(job_id=job_id, request=request)
+        record.trace = TraceContext.parse(traceparent)
+        record.submitted_unix = rec.get("submitted_unix", now_unix)
+        deadline_unix = rec.get("deadline_unix")
+        if deadline_unix is not None:
+            record.deadline_monotonic = now + (deadline_unix - now_unix)
+        return record, number
 
     async def shutdown(self, *, reason: str = "shutdown") -> None:
         """Drain-then-exit: stop admission, finish work, flush, stop."""

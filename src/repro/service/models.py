@@ -23,7 +23,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any
 
-from repro.errors import ServiceError
+from repro.errors import SerializationError, ServiceError
 from repro.service.config import DEFAULT_TENANT, ServiceConfig
 
 #: Dotted target executed by workers for every service job.
@@ -82,8 +82,36 @@ class JobRequest:
         }
 
 
-def request_from_dict(data: dict[str, Any]) -> JobRequest:
-    """Rebuild a journaled :class:`JobRequest` (crash recovery)."""
+#: Field types of a journaled request (``as_dict``); None is allowed
+#: only for the optional ones.
+_REQUEST_FIELDS: dict[str, tuple[type, ...]] = {
+    "tenant": (str,), "workload": (str,), "policy": (str,),
+    "iterations": (int,), "time_scale": (int, float),
+}
+_OPTIONAL_REQUEST_FIELDS: dict[str, tuple[type, ...]] = {
+    "deadline_s": (int, float), "cache_key": (str,),
+}
+
+
+def request_from_dict(data: Any) -> JobRequest:
+    """Rebuild a journaled :class:`JobRequest` (crash recovery).
+
+    Raises :class:`SerializationError` unless ``data`` is an object with
+    the fields :meth:`JobRequest.as_dict` writes, each of its type.
+    """
+    if not isinstance(data, dict):
+        raise SerializationError("journaled request is not a JSON object")
+    for fields, optional in ((_REQUEST_FIELDS, False),
+                             (_OPTIONAL_REQUEST_FIELDS, True)):
+        for name, kinds in fields.items():
+            value = data.get(name)
+            if value is None and optional:
+                continue
+            if isinstance(value, bool) or not isinstance(value, kinds):
+                raise SerializationError(
+                    f"journaled request has a missing or wrongly typed "
+                    f"{name!r} field"
+                )
     return JobRequest(
         tenant=data["tenant"],
         workload=data["workload"],

@@ -95,7 +95,7 @@ class FrequencyLadder:
         return iter(self._levels)
 
     def __contains__(self, hz: float) -> bool:
-        return any(f == hz for f in self._levels)
+        return hz in self._levels
 
     def __getitem__(self, index: int) -> float:
         try:

@@ -15,11 +15,23 @@ Hot-path contract
 -----------------
 
 The controller's scaling tick is the hottest loop in the system, so the
-``note_*`` methods do **no derivation**: they append a tuple and copy one
-small ndarray.  Everything derived — flip detection, runner-up margins,
-JSON encoding — happens in :meth:`AuditTrail.records` / :meth:`write`,
-after the run.  CI budgets the audit-enabled tick at < 5 % over the bare
-tick (``benchmarks/check_telemetry_overhead.py --audit-budget``).
+``note_*`` methods do **no derivation**: they append one small tuple of
+values the tick already holds (the decision's loss arrays are shared,
+not copied).  Everything derived — the weight table, flip detection,
+runner-up margins, JSON encoding — happens in :meth:`AuditTrail.records`
+/ :meth:`write`, after the run.  CI budgets the audit-enabled tick at
+< 5 % over the bare tick (``benchmarks/check_telemetry_overhead.py
+--audit-budget``).
+
+The loss vectors and the weight table are derived too.  Keeping a copy
+of the table per tick (36 floats) made the trail the tick's largest
+allocation — a fresh page of memory every few ticks — so the controller
+instead notes where its scaler starts (:meth:`AuditTrail.note_scaler`)
+and then each tick's inputs and outcome with ``weights=None``;
+:meth:`AuditTrail.records` replays a fresh
+:class:`~repro.core.wma.WmaFrequencyScaler` over the noted inputs, the
+same code on the same inputs, which reproduces every loss and weight bit
+for bit.
 
 Record schema (``audit.jsonl``, schema 1; see docs/observability.md):
 
@@ -50,14 +62,15 @@ from repro.errors import SerializationError
 from repro.ioutil import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> telemetry)
-    from repro.core.wma import ScalingDecision
+    from repro.core.wma import ScalingDecision, WmaFrequencyScaler
 
 #: File name of the trail inside a run/telemetry directory.
 AUDIT_NAME = "audit.jsonl"
 
 AUDIT_SCHEMA = 1
 
-_SKIP = object()  # sentinel tag for skipped-tick entries
+_SKIP = object()    # sentinel tag for skipped-tick entries
+_SCALER = object()  # sentinel tag for the start of a fresh WMA scaler
 
 
 class AuditTrail:
@@ -88,6 +101,18 @@ class AuditTrail:
 
     # -- hot-path writers (no derivation, no JSON) ---------------------
 
+    def note_scaler(self, scaler: "WmaFrequencyScaler") -> None:
+        """Mark the start of a fresh WMA scaler (ladders and config kept).
+
+        Until the next mark, scaling notes with ``weights=None`` get their
+        loss vectors, frequencies and weights at render time by replaying
+        a fresh copy of the scaler over the noted utilizations — so every
+        step of the scaler must be noted.
+        """
+        self._scaling.append(
+            (_SCALER, scaler.core_ladder, scaler.mem_ladder, scaler.config)
+        )
+
     def note_scaling(
         self,
         t: float,
@@ -97,14 +122,23 @@ class AuditTrail:
         source: str,
         actuated: bool,
         degraded: bool,
-        weights: np.ndarray,
+        weights: np.ndarray | None,
         power_w: float | None = None,
     ) -> None:
-        """Record one WMA decision (weights are copied; the table mutates)."""
-        self._scaling.append(
-            (t, u_core, u_mem, decision, source, actuated, degraded,
-             np.array(weights, dtype=float), power_w)
-        )
+        """Record one WMA decision.
+
+        ``weights`` is the table after this decision's update.  ``None``
+        keeps only the chosen levels and derives the rest at render time
+        (see :meth:`note_scaler`); otherwise the decision's evidence is
+        kept and the array copied, since its owner may write to it after
+        the note.
+        """
+        entry = (t, u_core, u_mem, decision.core_level, decision.mem_level,
+                 source, actuated, degraded, power_w)
+        if weights is not None:
+            entry += ((decision.f_core, decision.f_mem, decision.core_loss,
+                       decision.mem_loss, np.array(weights, dtype=float)),)
+        self._scaling.append(entry)
 
     def note_skip(self, t: float, degraded: bool) -> None:
         """Record a tick skipped for want of a usable sample."""
@@ -136,11 +170,17 @@ class AuditTrail:
         carry their own ``index``.  Flips and runner-up margins are
         derived here, not on the hot path.
         """
-        from repro.core.wma import best_and_runner_up
+        from repro.core.wma import WmaFrequencyScaler, best_and_runner_up
 
         out: list[dict[str, Any]] = []
         last_pair: tuple[int, int] | None = None
-        for tick, entry in enumerate(self._scaling):
+        replay: WmaFrequencyScaler | None = None
+        tick = -1
+        for entry in self._scaling:
+            if entry[0] is _SCALER:
+                replay = WmaFrequencyScaler(*entry[1:])
+                continue
+            tick += 1
             if entry[0] is _SKIP:
                 _, t, degraded = entry
                 out.append({
@@ -148,24 +188,35 @@ class AuditTrail:
                     "degraded": bool(degraded),
                 })
                 continue
-            (t, u_core, u_mem, decision, source, actuated, degraded,
-             weights, power_w) = entry
-            chosen = (int(decision.core_level), int(decision.mem_level))
+            (t, u_core, u_mem, core_level, mem_level, source, actuated,
+             degraded, power_w, *evidence) = entry
+            chosen = (int(core_level), int(mem_level))
+            if evidence:
+                f_core, f_mem, core_loss, mem_loss, weights = evidence[0]
+            elif replay is None:
+                raise ValueError("a scaling note without weights needs a "
+                                 "note_scaler() before it")
+            else:
+                derived = replay.step(u_core, u_mem)
+                core_loss, mem_loss = derived.core_loss, derived.mem_loss
+                weights = replay.table.weights
+                f_core = replay.core_ladder[chosen[0]]
+                f_mem = replay.mem_ladder[chosen[1]]
             _, runner_up, margin = best_and_runner_up(weights)
             record: dict[str, Any] = {
                 "kind": "scaling", "tick": tick, "t_sim": float(t),
                 "u_core": float(u_core), "u_mem": float(u_mem),
                 "source": source,
                 "core_level": chosen[0], "mem_level": chosen[1],
-                "f_core": float(decision.f_core),
-                "f_mem": float(decision.f_mem),
+                "f_core": float(f_core),
+                "f_mem": float(f_mem),
                 "runner_up": [int(runner_up[0]), int(runner_up[1])],
                 "margin": float(margin),
                 "flipped": last_pair is not None and chosen != last_pair,
                 "actuated": bool(actuated),
                 "degraded": bool(degraded),
-                "core_loss": [float(v) for v in decision.core_loss],
-                "mem_loss": [float(v) for v in decision.mem_loss],
+                "core_loss": [float(v) for v in core_loss],
+                "mem_loss": [float(v) for v in mem_loss],
                 "weights": [[float(v) for v in row] for row in weights],
             }
             if power_w is not None:

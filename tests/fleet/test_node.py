@@ -56,6 +56,27 @@ class TestCeilingForCap:
             assert wall_power_bound_w(config, *pair) <= cap + 1e-6
 
 
+    def test_node_ceilings_match_ceiling_for_cap(self):
+        """A node computes its diagonal bounds once; every cap still maps
+        to the ceiling :func:`ceiling_for_cap` picks, on each hardware
+        class in the scenario, exact bounds and their neighbours included."""
+        scenario = tiny_scenario(n_nodes=8)
+        for node_id in range(scenario.n_nodes):
+            node = FleetNode(node_id, scenario)
+            n_core = len(node.config.gpu.core_ladder)
+            n_mem = len(node.config.gpu.mem_ladder)
+            bounds = [wall_power_bound_w(node.config, min(k, n_core - 1),
+                                         min(k, n_mem - 1))
+                      for k in range(max(n_core, n_mem))]
+            caps = [1.0, 1e9] + [b + d for b in bounds
+                                 for d in (-1e-3, 0.0, 1e-6, 2e-6, 1e-3)]
+            for cap in caps:
+                assert node.apply_cap(cap) == ceiling_for_cap(node.config, cap)
+                assert node.controller.level_ceiling == ceiling_for_cap(
+                    node.config, cap)
+            node.finish()
+
+
 class TestNodePowerProfile:
     def test_from_config_bounds(self, config):
         profile = NodePowerProfile.from_config(config)

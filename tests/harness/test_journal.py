@@ -101,6 +101,20 @@ class TestJournal:
         with pytest.raises(SerializationError, match=match):
             read_journal(path)
 
+    @pytest.mark.parametrize("record", [
+        {"event": "job_success", "job": ["x"]},
+        {"event": "job_start", "job": 7},
+        {"event": ["job_start"], "job": "a"},
+    ])
+    def test_mistyped_key_field_raises(self, tmp_path, record):
+        path = tmp_path / "journal.jsonl"
+        good = json.dumps({"event": "run_start"})
+        path.write_text(f"{good}\n{json.dumps(record)}\n")
+        field = "event" if not isinstance(record["event"], str) else "job"
+        match = f"journal line 2 has a non-string '{field}' field"
+        with pytest.raises(SerializationError, match=match):
+            read_journal(path)
+
     def test_blank_lines_ignored(self, tmp_path):
         path = tmp_path / "journal.jsonl"
         good = json.dumps({"event": "run_start"})

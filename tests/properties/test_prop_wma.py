@@ -102,3 +102,137 @@ class TestScalerProperties:
             d_high = high.step(u_hi, u_hi)
         assert d_high.core_level <= d_low.core_level
         assert d_high.mem_level <= d_low.mem_level
+
+
+# -- the lean scaling tick against the numpy reference ---------------------
+
+
+class _NumpyOracle:
+    """Algorithm 1 on arrays: Eqs. 1-3 via ``loss_vector`` and
+    ``total_loss_matrix``, Eq. 4 and renormalization in numpy, argmax by
+    ``np.argmax`` — the form the weight table had before it became a
+    tuple of floats with a per-input memo."""
+
+    def __init__(self, core_ladder, mem_ladder, config):
+        self.config = config
+        self.umean_core = np.array(
+            [core_ladder.umean(i) for i in range(len(core_ladder))])
+        self.umean_mem = np.array(
+            [mem_ladder.umean(j) for j in range(len(mem_ladder))])
+        self.weights = np.ones((len(core_ladder), len(mem_ladder)))
+
+    def step(self, u_core, u_mem):
+        cfg = self.config
+        lc = loss_vector(u_core, self.umean_core, cfg.alpha_core)
+        lm = loss_vector(u_mem, self.umean_mem, cfg.alpha_mem)
+        total = total_loss_matrix(lc, lm, cfg.phi)
+        self.weights *= 1.0 - (1.0 - cfg.beta) * np.clip(total, 0.0, 1.0)
+        peak = self.weights.max()
+        if peak < 1e-30:
+            if peak <= 0.0:
+                self.weights[:] = 1.0
+            else:
+                self.weights /= peak
+        flat = int(np.argmax(self.weights))
+        pair = np.unravel_index(flat, self.weights.shape)
+        return (int(pair[0]), int(pair[1])), lc, lm
+
+
+def _same_bits(a, b):
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _assert_lockstep(scaler, oracle, inputs):
+    for u_core, u_mem in inputs:
+        decision = scaler.step(u_core, u_mem)
+        pair, lc, lm = oracle.step(u_core, u_mem)
+        assert type(decision.core_level) is int
+        assert type(decision.mem_level) is int
+        assert (decision.core_level, decision.mem_level) == pair
+        assert decision.f_core == scaler.core_ladder[pair[0]]
+        assert decision.f_mem == scaler.mem_ladder[pair[1]]
+        assert _same_bits(decision.core_loss, lc)
+        assert _same_bits(decision.mem_loss, lm)
+        assert _same_bits(scaler.table.weights, oracle.weights)
+
+
+# Inputs come from a small pool, so sequences repeat and interleave
+# values (memo hits and misses); the pool always offers both zeros.
+_special_utils = st.sampled_from([0.0, -0.0, 1.0, 0.5])
+_pools = st.lists(st.one_of(_special_utils, utils), min_size=1, max_size=6)
+_configs = st.builds(
+    GreenGpuConfig,
+    alpha_core=alphas, alpha_mem=alphas, phi=utils,
+    beta=st.floats(0.01, 0.99),
+)
+
+
+class TestLeanTickMatchesOracle:
+    @given(config=_configs, n=st.integers(1, 8), m=st.integers(1, 8),
+           data=st.data())
+    @settings(max_examples=60, deadline=None)
+    def test_bit_identical_to_numpy_oracle(self, config, n, m, data):
+        core = FrequencyLadder.equally_spaced(100.0, 900.0, n)
+        mem = FrequencyLadder.equally_spaced(200.0, 800.0, m)
+        pool = data.draw(_pools)
+        inputs = data.draw(st.lists(
+            st.tuples(st.sampled_from(pool), st.sampled_from(pool)),
+            min_size=1, max_size=60))
+        _assert_lockstep(WmaFrequencyScaler(core, mem, config),
+                         _NumpyOracle(core, mem, config), inputs)
+
+    @given(u_core=st.sampled_from([0.0, -0.0]),
+           u_mem=st.sampled_from([0.0, -0.0]), steps=st.integers(2, 10))
+    @settings(max_examples=20, deadline=None)
+    def test_signed_zeros_share_a_memo_entry(self, u_core, u_mem, steps):
+        """0.0 and -0.0 are one memo key; the losses they produce are
+        bit-identical, so either sign may fill the entry."""
+        ladder = FrequencyLadder.equally_spaced(100.0, 600.0, 6)
+        scaler = WmaFrequencyScaler(ladder, ladder)
+        oracle = _NumpyOracle(ladder, ladder, scaler.config)
+        inputs = [(0.0, 0.0)] + [(u_core, u_mem)] * steps + [(-0.0, 0.0)]
+        _assert_lockstep(scaler, oracle, inputs)
+        assert len(scaler._memo) == 1
+
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_forced_renormalization(self, data):
+        """Mid-level inputs leave every pair a loss of ~0.25 per tick, so
+        the peak weight falls below the renormalization threshold within
+        a few hundred ticks."""
+        ladder = FrequencyLadder.equally_spaced(100.0, 600.0, 2)
+        config = GreenGpuConfig(alpha_core=0.5, alpha_mem=0.5, beta=0.01)
+        inputs = data.draw(st.lists(
+            st.tuples(st.floats(0.45, 0.55), st.floats(0.45, 0.55)),
+            min_size=1, max_size=4))
+        scaler = WmaFrequencyScaler(ladder, ladder, config)
+        oracle = _NumpyOracle(ladder, ladder, config)
+        _assert_lockstep(scaler, oracle, (inputs * 400)[:400])
+        assert scaler.table.renormalizations >= 1
+
+    @given(pool=st.lists(utils, min_size=4, max_size=8, unique=True),
+           data=st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_memo_eviction(self, pool, data):
+        """With room for three inputs, a pool of four or more keeps
+        evicting entries; recomputed entries stay bit-identical."""
+        from unittest import mock
+
+        ladder = FrequencyLadder.equally_spaced(100.0, 600.0, 6)
+        inputs = [(u, 1.0 - u) for u in data.draw(st.lists(
+            st.sampled_from(pool), min_size=10, max_size=60))]
+        with mock.patch("repro.core.wma._MEMO_SIZE", 3):
+            scaler = WmaFrequencyScaler(ladder, ladder)
+            oracle = _NumpyOracle(ladder, ladder, scaler.config)
+            _assert_lockstep(scaler, oracle, inputs + [(u, 1.0 - u) for u in pool])
+            assert len(scaler._memo) == 3
+
+    def test_reset_drops_the_memo(self):
+        ladder = FrequencyLadder.equally_spaced(100.0, 600.0, 6)
+        scaler = WmaFrequencyScaler(ladder, ladder)
+        scaler.step(0.3, 0.7)
+        scaler.reset()
+        assert scaler._memo == {}
+        oracle = _NumpyOracle(ladder, ladder, scaler.config)
+        _assert_lockstep(scaler, oracle, [(0.3, 0.7), (0.9, 0.1)])

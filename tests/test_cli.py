@@ -150,6 +150,20 @@ class TestSweep:
         assert "journal line 1 is not a JSON object" in err
         assert "Traceback" not in err
 
+    def test_sweep_resume_over_mistyped_job_field_exits_2(
+            self, capsys, tmp_path):
+        run_dir = tmp_path / "sweep-run"
+        run_dir.mkdir()
+        (run_dir / "journal.jsonl").write_text(
+            '{"event": "job_success", "job": ["x"]}\n')
+        assert main(["sweep", "--workload", "kmeans", "--run-dir",
+                     str(run_dir), "--resume", "--step", "0.5",
+                     "--iterations", "1", "--time-scale", "0.05",
+                     "--no-cache"]) == 2
+        err = capsys.readouterr().err
+        assert "journal line 1 has a non-string 'job' field" in err
+        assert "Traceback" not in err
+
     def test_sweep_resume_without_run_dir_errors(self, capsys):
         assert main(["sweep", "--workload", "kmeans", "--resume"]) == 2
         assert "error:" in capsys.readouterr().err
