@@ -5,8 +5,9 @@ The controller guards its hot-path span sites behind a cached
 tick with telemetry disabled pays only branch checks — no null-span
 ``with`` blocks, no method calls into the backend.  Per tick that is:
 one flag check in ``_scaling_tick``, two attribute reads plus three
-local flag checks in ``_scaling_tick_body``, and an attribute read plus
-a flag check in ``_apply_gpu_frequencies``.
+local flag checks plus a recorder check in ``_scale_card``, an
+attribute read plus a flag check in ``_apply_gpu_frequencies``, and the
+power/trace flag check back in ``_scaling_tick_body``.
 
 This script measures that probe sequence in isolation (minus the bare
 loop cost) and divides it by the wall time of the *genuine*
@@ -92,7 +93,7 @@ def bench_probes() -> float:
     for _ in range(TICKS):
         if self._tel_on:                    # _scaling_tick wrapper
             pass
-        telemetry = self.telemetry          # _scaling_tick_body prologue
+        telemetry = self.telemetry          # _scale_card prologue
         tel_on = self._tel_on
         if tel_on:                          # monitor_read span site
             pass
@@ -103,7 +104,9 @@ def bench_probes() -> float:
         telemetry = self.telemetry          # _apply_gpu_frequencies
         if self._tel_on:                    # freq_actuation span site
             pass
-        if tel_on or self.recorder is not None:  # power/trace block
+        if self.recorder is not None:       # per-card trace row
+            pass
+        if self._tel_on or self.recorder is not None:  # power/trace block
             pass
     return time.perf_counter() - t0
 

@@ -1,34 +1,39 @@
 """Extension bench: full multi-GPU co-simulation scaling.
 
 Measures how the complete GreenGPU stack (per-card WMA + ondemand + N-way
-division) scales from one to three cards on kmeans.
+division) scales from one to three cards on kmeans.  The cards come from
+``TestbedConfig.extra_gpus``; the run holds its controller so it can read
+the final per-card shares before detaching.
 """
 
-from repro.core.config import GreenGpuConfig
-from repro.extensions.multigpu_sim import (
-    MultiGreenGpuController,
-    MultiHeteroSystem,
-    run_multi_workload,
-)
-from repro.sim.calibration import geforce_8800_gtx_spec
-from repro.experiments.common import scaled_workload
+import dataclasses
+from types import SimpleNamespace
+
+from repro.core.policies import GreenGpuPolicy
+from repro.experiments.common import scaled_config, scaled_options, scaled_workload
+from repro.runtime.executor import HeteroExecutor
+from repro.sim.calibration import default_testbed_config, geforce_8800_gtx_spec
+from repro.sim.platform import HeteroSystem
 
 TIME_SCALE = 0.05
 
 
 def _run(n_gpus: int):
-    system = MultiHeteroSystem(
-        gpu_specs=[geforce_8800_gtx_spec() for _ in range(n_gpus)]
-    )
-    cfg = GreenGpuConfig(
-        scaling_interval_s=3.0 * TIME_SCALE, ondemand_interval_s=0.1 * TIME_SCALE
-    )
-    return run_multi_workload(
-        scaled_workload("kmeans", TIME_SCALE),
-        system=system,
-        controller=MultiGreenGpuController(system, cfg),
-        n_iterations=10,
-    )
+    system = HeteroSystem(dataclasses.replace(
+        default_testbed_config(),
+        extra_gpus=tuple(geforce_8800_gtx_spec() for _ in range(n_gpus - 1)),
+    ))
+    policy = GreenGpuPolicy(config=scaled_config(TIME_SCALE))
+    policy.apply_initial_state(system)
+    controller = policy.make_controller()
+    controller.attach(system)
+    HeteroExecutor(
+        system, scaled_workload("kmeans", TIME_SCALE), controller,
+        scaled_options(TIME_SCALE),
+    ).run(10)
+    result = SimpleNamespace(total_s=system.now, final_shares=controller.shares)
+    controller.detach()
+    return result
 
 
 def test_extension_multigpu_scaling(run_once, benchmark):

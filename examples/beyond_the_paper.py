@@ -68,28 +68,33 @@ def multigpu_demo() -> None:
     print(f"   finish-time imbalance: {divider.imbalance(unit_times):.2f}x "
           f"(1.00 = perfect)")
 
-    # The same algorithm on the full co-simulated platform.
-    from repro.core.config import GreenGpuConfig
-    from repro.experiments.common import scaled_workload
-    from repro.extensions.multigpu_sim import (
-        MultiGreenGpuController,
-        MultiHeteroSystem,
-        run_multi_workload,
+    # The same algorithm on the full co-simulated platform: extra cards
+    # come from the testbed config, and the controller divides over all.
+    import dataclasses
+
+    from repro.core.policies import GreenGpuPolicy
+    from repro.experiments.common import (
+        scaled_config,
+        scaled_options,
+        scaled_workload,
     )
+    from repro.runtime.executor import simulate
+    from repro.sim.calibration import default_testbed_config
+    from repro.sim.platform import HeteroSystem
 
     scale = 0.05
-    cfg = GreenGpuConfig(scaling_interval_s=3.0 * scale,
-                         ondemand_interval_s=0.1 * scale)
     times = {}
     for n_gpus in (1, 2):
-        system = MultiHeteroSystem(
-            gpu_specs=[geforce_8800_gtx_spec() for _ in range(n_gpus)]
-        )
-        result = run_multi_workload(
+        system = HeteroSystem(dataclasses.replace(
+            default_testbed_config(),
+            extra_gpus=tuple(geforce_8800_gtx_spec() for _ in range(n_gpus - 1)),
+        ))
+        result = simulate(
             scaled_workload("kmeans", scale),
-            system=system,
-            controller=MultiGreenGpuController(system, cfg),
+            GreenGpuPolicy(config=scaled_config(scale)),
             n_iterations=8,
+            system=system,
+            options=scaled_options(scale),
         )
         times[n_gpus] = result.total_s
     print(f"   co-simulated kmeans: 1 GPU {times[1]:.1f} s -> "

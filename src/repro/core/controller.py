@@ -11,8 +11,15 @@ simulated :class:`~repro.sim.platform.HeteroSystem`:
   provably repeats the last decision the tick is parked off the clock
   and its grid ticks are backfilled when the state moves (see
   ``_maybe_park``).
-- **Tier 1**: at every iteration boundary the executor reports
-  ``(tc, tg)`` and receives the next division ratio.
+- **Tier 1**: at every iteration boundary the executor reports the
+  CPU's and every card's time and reads the next :attr:`shares`.
+
+Tier 2 runs one WMA scaler, monitor and actuator per GPU card (§VI's
+"one pthread for one GPU"), as one loop over the cards.  Only tier 1
+depends on the card count, chosen at attach: one card keeps the paper's
+:class:`~repro.core.division.WorkloadDivider` (which the goldens pin),
+two or more use :class:`~repro.extensions.multigpu.MultiwayDivider`; the
+two are not bit-identical in the two-way case (docs/architecture.md).
 
 The two tiers are deliberately decoupled: division happens at iteration
 granularity (long), scaling at a short fixed period, so the WMA loop can
@@ -77,7 +84,7 @@ from repro.core.config import GreenGpuConfig
 from repro.core.division import WorkloadDivider
 from repro.core.ondemand import OndemandGovernor
 from repro.core.wma import ScalingDecision, WmaFrequencyScaler
-from repro.errors import ActuationError, MonitorError, SimulationError
+from repro.errors import ActuationError, ConfigError, MonitorError, SimulationError
 from repro.faults.health import HEALTH_FIELDS, ControlHealth, counter_name
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy, call_with_retry
@@ -123,8 +130,28 @@ class HardeningPolicy:
             raise SimulationError("watchdog threshold must be >= 1")
 
 
+class _Card:
+    """One GPU card's tier-2 state.  Card i >= 1 records ``gpu{i}_``
+    channels and a ``card`` label, so no card overwrites another's."""
+
+    __slots__ = ("gpu", "scaler", "nvsmi", "actuator", "last_sample",
+                 "channels", "labels")
+
+    def __init__(self, index: int, gpu, scaler: WmaFrequencyScaler,
+                 nvsmi, actuator):
+        self.gpu = gpu
+        self.scaler = scaler
+        self.nvsmi = nvsmi
+        self.actuator = actuator
+        self.last_sample: GpuUtilizationSample | None = None
+        prefix = f"gpu{index}_" if index else "gpu_"
+        self.channels = tuple(prefix + name
+                              for name in ("u_core", "u_mem", "f_core", "f_mem"))
+        self.labels = {"card": str(index)} if index else {}
+
+
 class GreenGpuController:
-    """Runtime composition of the WMA scaler, ondemand and the divider."""
+    """Runtime composition of the WMA scalers, ondemand and the divider."""
 
     def __init__(
         self,
@@ -161,20 +188,19 @@ class GreenGpuController:
             for name in HEALTH_FIELDS
         }
         self._initial_ratio = initial_ratio
-        self.scaler: WmaFrequencyScaler | None = None
+        self._cards: tuple[_Card, ...] = ()
         self.governor: OndemandGovernor | None = None
-        self.divider: WorkloadDivider | None = None
+        # WorkloadDivider for one card, MultiwayDivider for more (attach).
+        self.divider = None
+        self._divide = None
         self._system: HeteroSystem | None = None
-        self._nvsmi: NvidiaSmi | FaultyNvidiaSmi | None = None
         self._cpustat: CpuStat | FaultyCpuStat | None = None
-        self._actuator = None
         self._tasks: list[TaskHandle] = []
         self._ondemand_task: TaskHandle | None = None
         # Parking (see _maybe_park): allowed only when the CPU monitor
         # cannot fault; (busy, f) of the CPU while the tick is parked.
         self._park_ok = False
         self._parked: tuple[bool, float] | None = None
-        self._last_gpu_sample: GpuUtilizationSample | None = None
         self._last_cpu_sample: CpuUtilizationSample | None = None
         self._consecutive_failures = 0
         self._degraded = False
@@ -190,6 +216,16 @@ class GreenGpuController:
     @property
     def attached(self) -> bool:
         return self._system is not None
+
+    @property
+    def scaler(self) -> WmaFrequencyScaler | None:
+        """Card 0's WMA scaler (None unless attached with tier 2 on)."""
+        return self._cards[0].scaler if self._cards else None
+
+    @property
+    def scalers(self) -> tuple[WmaFrequencyScaler, ...]:
+        """One WMA scaler per card, in card order."""
+        return tuple(card.scaler for card in self._cards)
 
     @property
     def degraded(self) -> bool:
@@ -213,6 +249,12 @@ class GreenGpuController:
         """Bind to a testbed and register the periodic tier-2 loops."""
         if self.attached:
             raise SimulationError("controller already attached")
+        n_cards = len(system.gpus)
+        if self._audit_on and n_cards > 1:
+            raise ConfigError(
+                "the decision audit records one WMA scaler; "
+                f"cannot audit a {n_cards}-card system"
+            )
         self._system = system
         for counter in self._health_counters.values():
             counter.reset()
@@ -221,13 +263,24 @@ class GreenGpuController:
             self.faults.bind(clock=system.clock, recorder=self.recorder,
                              telemetry=self.telemetry)
         if self.mode.division_enabled:
-            self.divider = WorkloadDivider(cfg, r0=self._initial_ratio)
-        else:
-            self.divider = None
+            if n_cards == 1:
+                self.divider = WorkloadDivider(cfg, r0=self._initial_ratio)
+                self._divide = self.divider.update
+            else:
+                from repro.extensions.multigpu import MultiwayDivider
+
+                r0 = (cfg.initial_cpu_ratio if self._initial_ratio is None
+                      else self._initial_ratio)
+                self.divider = MultiwayDivider(
+                    ["cpu", *(f"gpu{i}" for i in range(n_cards))],
+                    step=cfg.division_step,
+                    initial_shares=[r0, *[(1.0 - r0) / n_cards] * n_cards],
+                    oscillation_safeguard=cfg.oscillation_safeguard,
+                )
+                self._divide = self.divider.update_times
         if self.mode.scaling_enabled:
-            self.scaler = WmaFrequencyScaler(
-                system.gpu.spec.core_ladder, system.gpu.spec.mem_ladder, cfg
-            )
+            self._cards = tuple(self._make_card(i, gpu)
+                                for i, gpu in enumerate(system.gpus))
             if self._audit_on:
                 self.audit.note_scaler(self.scaler)
             self.governor = OndemandGovernor(
@@ -236,13 +289,9 @@ class GreenGpuController:
                 down_threshold=cfg.ondemand_down_threshold,
             )
             if self.faults is not None:
-                self._nvsmi = FaultyNvidiaSmi(NvidiaSmi(system.gpu), self.faults)
                 self._cpustat = FaultyCpuStat(CpuStat(system.cpu), self.faults)
-                self._actuator = FaultyGpuActuator(system.gpu, self.faults)
             else:
-                self._nvsmi = NvidiaSmi(system.gpu)
                 self._cpustat = CpuStat(system.cpu)
-                self._actuator = system.gpu
             self._tasks.append(
                 system.clock.every(
                     cfg.scaling_interval_s, self._scaling_tick, name="wma-scaling"
@@ -259,6 +308,15 @@ class GreenGpuController:
                 for kind in ("cpu_monitor_timeout", "cpu_monitor_drop",
                              "cpu_monitor_freeze")
             )
+
+    def _make_card(self, index: int, gpu) -> _Card:
+        spec = gpu.spec
+        scaler = WmaFrequencyScaler(spec.core_ladder, spec.mem_ladder, self.config)
+        if self.faults is not None:
+            return _Card(index, gpu, scaler,
+                         FaultyNvidiaSmi(NvidiaSmi(gpu), self.faults),
+                         FaultyGpuActuator(gpu, self.faults))
+        return _Card(index, gpu, scaler, NvidiaSmi(gpu), gpu)
 
     def detach(self) -> None:
         """Cancel the periodic loops, unbind, and drop all learned state.
@@ -277,13 +335,11 @@ class GreenGpuController:
         self._ondemand_task = None
         self._park_ok = False
         self._system = None
-        self._nvsmi = None
         self._cpustat = None
-        self._actuator = None
-        self.scaler = None
+        self._cards = ()
         self.governor = None
         self.divider = None
-        self._last_gpu_sample = None
+        self._divide = None
         self._last_cpu_sample = None
         self._consecutive_failures = 0
         self._degraded = False
@@ -296,7 +352,7 @@ class GreenGpuController:
         return self._level_ceiling
 
     def set_level_ceiling(self, core_level: int, mem_level: int) -> None:
-        """Cap the GPU at ladder levels no faster than the given indices.
+        """Cap every GPU card at ladder levels no faster than the given indices.
 
         Index 0 is each ladder's peak, so a ceiling of ``(i, j)`` forbids
         levels above ``i``/``j`` — the enforcement half of a fleet power
@@ -305,8 +361,8 @@ class GreenGpuController:
         safe state) are clamped to the ceiling; the WMA table itself
         keeps learning over the full ladder, so lifting the cap restores
         full-range control instantly.  If the controller is attached and
-        the clocks currently sit above the new ceiling, they are pushed
-        down immediately (best effort, like the safe state).
+        a card's clocks currently sit above the new ceiling, they are
+        pushed down immediately (best effort, like the safe state).
 
         The ceiling is operator configuration, not learned state: it
         survives :meth:`detach` until explicitly changed.
@@ -320,33 +376,29 @@ class GreenGpuController:
                 t_sim=self._system.now if self._system is not None else 0.0,
                 core_level=core_level, mem_level=mem_level,
             )
-        system = self._system
-        if system is None or not self.mode.scaling_enabled:
-            return
-        spec = system.gpu.spec
-        ci, cj = self._clamped_ceiling(spec)
-        f_core_max = spec.core_ladder[ci]
-        f_mem_max = spec.mem_ladder[cj]
-        if (system.gpu.f_core > f_core_max or system.gpu.f_mem > f_mem_max):
-            target = (min(system.gpu.f_core, f_core_max),
-                      min(system.gpu.f_mem, f_mem_max))
-            try:
-                (self._actuator or system.gpu).set_frequencies(*target)
-            except ActuationError:
-                pass  # retried by the next scaling tick's clamp
+        for card in self._cards:
+            gpu = card.gpu
+            spec = gpu.spec
+            ci, cj = self._clamped_ceiling(spec)
+            f_core_max = spec.core_ladder[ci]
+            f_mem_max = spec.mem_ladder[cj]
+            if gpu.f_core > f_core_max or gpu.f_mem > f_mem_max:
+                try:
+                    card.actuator.set_frequencies(min(gpu.f_core, f_core_max),
+                                                  min(gpu.f_mem, f_mem_max))
+                except ActuationError:
+                    pass  # retried by the next scaling tick's clamp
 
     def _clamped_ceiling(self, spec) -> tuple[int, int]:
-        """Ceiling indices clipped into this system's ladder ranges."""
+        """Ceiling indices clipped into one card's ladder ranges."""
         ci, cj = self._level_ceiling
         return (min(ci, len(spec.core_ladder) - 1),
                 min(cj, len(spec.mem_ladder) - 1))
 
-    def _apply_ceiling(self, decision: ScalingDecision) -> ScalingDecision:
-        """Clamp one scaling decision to the ladder ceiling (if any)."""
+    def _apply_ceiling(self, decision: ScalingDecision, spec) -> ScalingDecision:
+        """Clamp one card's scaling decision to the ladder ceiling (if any)."""
         if self._level_ceiling == (0, 0):
             return decision
-        assert self._system is not None
-        spec = self._system.gpu.spec
         ci, cj = self._clamped_ceiling(spec)
         i = max(decision.core_level, ci)
         j = max(decision.mem_level, cj)
@@ -365,35 +417,25 @@ class GreenGpuController:
         """Bump one :class:`ControlHealth` counter (the only write path)."""
         self._health_counters[field].inc()
 
-    def _stale_gpu_sample(self, t: float) -> GpuUtilizationSample | None:
-        """Last good GPU sample, if still inside the staleness window."""
-        last = self._last_gpu_sample
-        if last is None:
-            return None
-        max_age = self.hardening.stale_window_ticks * self.config.scaling_interval_s
-        return last if (t - last.t) <= max_age else None
+    def _stale_sample(self, last, t: float, interval_s: float):
+        """``last`` (a card's or the CPU's last good sample) if it is at
+        most ``stale_window_ticks`` ticks of ``interval_s`` old, else None."""
+        max_age = self.hardening.stale_window_ticks * interval_s
+        return last if last is not None and (t - last.t) <= max_age else None
 
-    def _stale_cpu_sample(self, t: float) -> CpuUtilizationSample | None:
-        last = self._last_cpu_sample
-        if last is None:
-            return None
-        max_age = self.hardening.stale_window_ticks * self.config.ondemand_interval_s
-        return last if (t - last.t) <= max_age else None
-
-    def _apply_gpu_frequencies(self, t: float, f_core: float, f_mem: float) -> bool:
-        """Write a frequency pair with retry + verification.
+    def _apply_gpu_frequencies(self, card: _Card, t: float, f_core: float,
+                               f_mem: float) -> bool:
+        """Write a frequency pair to one card with retry + verification.
 
         Returns True once ``peek_clocks()`` confirms the pair landed;
         False (after counting the actuation fault) when every attempt
         failed or was silently swallowed.
         """
-        assert self._actuator is not None and self._nvsmi is not None
-
         telemetry = self.telemetry
 
         def attempt() -> None:
-            self._actuator.set_frequencies(f_core, f_mem)
-            if self._nvsmi.peek_clocks() != (f_core, f_mem):
+            card.actuator.set_frequencies(f_core, f_mem)
+            if card.nvsmi.peek_clocks() != (f_core, f_mem):
                 raise ActuationError("frequency write did not take effect")
 
         def on_retry(attempt_index: int, backoff_s: float, exc: Exception) -> None:
@@ -442,23 +484,23 @@ class GreenGpuController:
             self._enforce_safe_state()
 
     def _enforce_safe_state(self) -> None:
-        """Best-effort push to peak frequencies (the watchdog's safe state).
+        """Best-effort push of every card to peak (the watchdog's safe state).
 
         Peak is safe in the paper's sense: it can only cost energy, never
         correctness or deadline — the best-performance baseline.  Under a
         power-cap ceiling the safe state is the ceiling pair instead:
         exceeding the node's cap is not "safe" in a coordinated fleet.
-        The write may itself fail (e.g. during a throttle episode); it is
+        A write may itself fail (e.g. during a throttle episode); it is
         retried on every degraded tick until it lands.
         """
-        assert self._system is not None and self._actuator is not None
-        spec = self._system.gpu.spec
-        ci, cj = self._clamped_ceiling(spec)
-        try:
-            self._actuator.set_frequencies(spec.core_ladder[ci],
-                                           spec.mem_ladder[cj])
-        except ActuationError:
-            pass
+        for card in self._cards:
+            spec = card.gpu.spec
+            ci, cj = self._clamped_ceiling(spec)
+            try:
+                card.actuator.set_frequencies(spec.core_ladder[ci],
+                                              spec.mem_ladder[cj])
+            except ActuationError:
+                pass
 
     # -- tier 2 ticks -----------------------------------------------------------------
 
@@ -470,76 +512,92 @@ class GreenGpuController:
             self._scaling_tick_body(t)
 
     def _scaling_tick_body(self, t: float) -> None:
-        assert self._system is not None and self._nvsmi is not None
-        assert self.scaler is not None
+        # Clean: every card read a fresh sample and its write landed.
+        clean = True
+        decided = False
+        for card in self._cards:
+            outcome = self._scale_card(card, t)
+            if outcome is None:
+                clean = False
+            else:
+                decided = True
+                clean = clean and outcome[2] == "fresh" and outcome[3]
+        power_w: float | None = None
+        if decided and (self._tel_on or self.recorder is not None):
+            power_w = self._system.system_power()
+            self.telemetry.gauge("system_power_w").set(power_w, t=t)
+            self.telemetry.histogram("system_power_w_dist").observe(power_w)
+            if self.recorder is not None:
+                self.recorder.record("system_power_w", t, power_w)
+        self._note_tick_outcome(t, clean)
+        if self._audit_on:
+            # After _note_tick_outcome so `degraded` reflects whether the
+            # watchdog's safe state overrides this decision.  Audited
+            # controllers have one card (see attach), whose outcome this is.
+            if outcome is None:
+                self.audit.note_skip(t, degraded=self._degraded)
+                return
+            sample, decision, source, actuated = outcome
+            # weights=None: the trail replays the scaler at render time.
+            self.audit.note_scaling(
+                t, sample.u_core, sample.u_mem, decision, source,
+                actuated, self._degraded, None, power_w,
+            )
+
+    def _scale_card(self, card: _Card, t: float):
+        """One card's WMA step: read, decide, clamp, actuate, record.
+
+        Returns ``(sample, decision, source, actuated)``, or None when the
+        card had no usable sample and kept its previous decision.
+        """
         telemetry = self.telemetry
         tel_on = self._tel_on
-        clean = True
         source = "fresh"
         try:
             if tel_on:
-                with telemetry.span("monitor_read", device="gpu"):
-                    sample = self._nvsmi.query()
+                with telemetry.span("monitor_read", device="gpu", **card.labels):
+                    sample = card.nvsmi.query()
             else:
-                sample = self._nvsmi.query()
-            self._last_gpu_sample = sample
+                sample = card.nvsmi.query()
+            card.last_sample = sample
         except MonitorError:
-            clean = False
             self._count("monitor_faults")
-            sample = self._stale_gpu_sample(t)
+            sample = self._stale_sample(card.last_sample, t,
+                                        self.config.scaling_interval_s)
             if sample is None:
                 # No usable data: skip the step, keep the previous decision.
                 self._count("skipped_ticks")
                 self._record_event("ctrl_skip", t)
-                self._note_tick_outcome(t, clean=False)
-                if self._audit_on:
-                    self.audit.note_skip(t, degraded=self._degraded)
-                return
+                return None
             self._count("fallbacks")
             self._record_event("ctrl_fallback", t)
             source = "fallback"
         if tel_on:
-            with telemetry.span("wma_update"):
-                decision = self.scaler.step(sample.u_core, sample.u_mem)
+            with telemetry.span("wma_update", **card.labels):
+                decision = card.scaler.step(sample.u_core, sample.u_mem)
         else:
-            decision = self.scaler.step(sample.u_core, sample.u_mem)
-        decision = self._apply_ceiling(decision)
+            decision = card.scaler.step(sample.u_core, sample.u_mem)
+        decision = self._apply_ceiling(decision, card.gpu.spec)
         if tel_on:
             telemetry.event(
                 "wma_update", t_sim=t,
                 core_level=decision.core_level, mem_level=decision.mem_level,
                 f_core=decision.f_core, f_mem=decision.f_mem,
                 u_core=sample.u_core, u_mem=sample.u_mem,
-                w_max=float(self.scaler.table.weights.max()),
+                w_max=float(card.scaler.table.weights.max()), **card.labels,
             )
-            telemetry.gauge("wma_f_core_hz").set(decision.f_core, t=t)
-            telemetry.gauge("wma_f_mem_hz").set(decision.f_mem, t=t)
-        actuated = self._apply_gpu_frequencies(t, decision.f_core, decision.f_mem)
-        if not actuated:
-            clean = False
-        power_w: float | None = None
-        if tel_on or self.recorder is not None:
-            power_w = self._system.system_power()
-            telemetry.gauge("system_power_w").set(power_w, t=t)
-            telemetry.histogram("system_power_w_dist").observe(power_w)
-            if self.recorder is not None:
-                self.recorder.record_many(
-                    t,
-                    gpu_u_core=sample.u_core,
-                    gpu_u_mem=sample.u_mem,
-                    gpu_f_core=decision.f_core,
-                    gpu_f_mem=decision.f_mem,
-                    system_power_w=power_w,
-                )
-        self._note_tick_outcome(t, clean)
-        if self._audit_on:
-            # After _note_tick_outcome so `degraded` reflects whether the
-            # watchdog's safe state overrides this decision.
-            # weights=None: the trail replays the scaler at render time.
-            self.audit.note_scaling(
-                t, sample.u_core, sample.u_mem, decision, source,
-                actuated, self._degraded, None, power_w,
-            )
+            telemetry.gauge("wma_f_core_hz", **card.labels).set(decision.f_core, t=t)
+            telemetry.gauge("wma_f_mem_hz", **card.labels).set(decision.f_mem, t=t)
+        actuated = self._apply_gpu_frequencies(card, t, decision.f_core,
+                                               decision.f_mem)
+        recorder = self.recorder
+        if recorder is not None:
+            u_core, u_mem, f_core, f_mem = card.channels
+            recorder.record(u_core, t, sample.u_core)
+            recorder.record(u_mem, t, sample.u_mem)
+            recorder.record(f_core, t, decision.f_core)
+            recorder.record(f_mem, t, decision.f_mem)
+        return sample, decision, source, actuated
 
     def _ondemand_tick(self, t: float) -> None:
         if self._tel_on:
@@ -561,7 +619,8 @@ class GreenGpuController:
             self._last_cpu_sample = sample
         except MonitorError:
             self._count("monitor_faults")
-            sample = self._stale_cpu_sample(t)
+            sample = self._stale_sample(self._last_cpu_sample, t,
+                                        self.config.ondemand_interval_s)
             if sample is None:
                 self._count("skipped_ticks")
                 self._record_event("ctrl_skip", t)
@@ -649,43 +708,56 @@ class GreenGpuController:
             return self._initial_ratio
         return 0.0  # paper default: everything on the GPU
 
-    def on_iteration_end(self, tc: float, tg: float) -> float:
-        """Tier-1 boundary: feed (tc, tg), get the next division ratio."""
+    @property
+    def shares(self) -> tuple[float, ...]:
+        """Work shares ``(cpu, card 0, ...)``; without a divider the cards
+        split what :attr:`ratio` leaves evenly."""
+        if self.divider is not None:
+            return tuple(map(float, self.divider.shares))
+        r = self.ratio
+        n_cards = len(self._system.gpus)
+        return (r, *[(1.0 - r) / n_cards] * n_cards)
+
+    def on_iteration_end(self, tc: float, tg: float, *tgs: float) -> float:
+        """Tier-1 boundary: feed the CPU's, card 0's and further cards'
+        times, get the next CPU ratio.  Records carry the slowest card's
+        time as ``tg``."""
         if self.divider is None:
             return self.ratio
+        tg_slowest = max((tg, *tgs))
         now = self._system.now if self._system is not None else -1.0
         if self._degraded:
-            # Watchdog safe state: hold the division ratio steady rather
-            # than learn from timings measured under faulty control.
+            # Watchdog safe state: hold the division steady rather than
+            # learn from timings measured under faulty control.
             self._count("frozen_divisions")
             if self._system is not None:
                 self._record_event("ctrl_division_frozen", now)
                 if self.recorder is not None:
                     self.recorder.record_many(
-                        now, division_r=self.divider.r, tc=tc, tg=tg
+                        now, division_r=self.divider.r, tc=tc, tg=tg_slowest
                     )
             if self._audit_on:
                 self.audit.note_division(
-                    now, tc, tg, r_prev=self.divider.r,
+                    now, tc, tg_slowest, r_prev=self.divider.r,
                     r_next=self.divider.r, moved=False,
                     held_by_safeguard=False, frozen=True,
                 )
             return self.divider.r
         r_prev = self.divider.r
-        decision = self.divider.update(tc, tg)
+        decision = self._divide(tc, tg, *tgs)
+        r_next = self.divider.r
         if self._audit_on:
             self.audit.note_division(
-                now, tc, tg, r_prev=r_prev, r_next=decision.r_next,
+                now, tc, tg_slowest, r_prev=r_prev, r_next=r_next,
                 moved=decision.moved,
                 held_by_safeguard=decision.held_by_safeguard, frozen=False,
             )
         if self.telemetry.enabled and self._system is not None:
             self.telemetry.event("division_update", t_sim=self._system.now,
-                                 r_next=decision.r_next, tc=tc, tg=tg)
-            self.telemetry.gauge("division_r").set(decision.r_next,
-                                                   t=self._system.now)
+                                 r_next=r_next, tc=tc, tg=tg_slowest)
+            self.telemetry.gauge("division_r").set(r_next, t=self._system.now)
         if self.recorder is not None and self._system is not None:
             self.recorder.record_many(
-                self._system.now, division_r=decision.r_next, tc=tc, tg=tg
+                self._system.now, division_r=r_next, tc=tc, tg=tg_slowest
             )
-        return decision.r_next
+        return r_next

@@ -70,6 +70,11 @@ class WorkloadDivider:
         self.safeguard_holds = 0
         self.history: list[DivisionDecision] = []
 
+    @property
+    def shares(self) -> tuple[float, float]:
+        """Current (cpu, gpu) work shares."""
+        return (self.r, 1.0 - self.r)
+
     def _candidate(self, tc: float, tg: float) -> float:
         cfg = self.config
         if tc > tg:

@@ -56,12 +56,11 @@ class Policy:
             raise ConfigError(f"ratio must be in [0, 1], got {self.ratio}")
 
     def apply_initial_state(self, system: HeteroSystem) -> None:
-        """Pin the requested initial frequencies on the testbed."""
-        core = (
-            system.gpu.core_level if self.gpu_core_level is None else self.gpu_core_level
-        )
-        mem = system.gpu.mem_level if self.gpu_mem_level is None else self.gpu_mem_level
-        system.gpu.set_levels(core, mem)
+        """Pin the requested initial frequencies on the testbed's devices."""
+        for gpu in system.gpus:
+            core = gpu.core_level if self.gpu_core_level is None else self.gpu_core_level
+            mem = gpu.mem_level if self.gpu_mem_level is None else self.gpu_mem_level
+            gpu.set_levels(core, mem)
         if self.cpu_level is not None:
             system.cpu.set_frequency(system.cpu.spec.ladder[self.cpu_level])
 

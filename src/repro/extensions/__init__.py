@@ -17,7 +17,9 @@ against the published design:
   asynchronous host-device communication, replacing the paper's Fig. 6c
   emulation (their benchmarks spin the CPU, defeating ondemand).
 - :mod:`repro.extensions.multigpu` — N-way workload division ("one
-  pthread for one GPU", §VI) generalizing the two-way tier-1 algorithm.
+  pthread for one GPU", §VI) generalizing the two-way tier-1 algorithm;
+  the controller runs it on a testbed with more than one GPU card
+  (``TestbedConfig.extra_gpus``).
 - :mod:`repro.extensions.coupled` — the coupled-tier alternative the
   paper rejects in §IV, so the decoupling argument can be tested.
 - :mod:`repro.extensions.tuner` — offline grid search over the hand-tuned
@@ -30,12 +32,6 @@ from repro.extensions.hardware_table import QuantizedWeightTable, QuantizedWmaSc
 from repro.extensions.gpu_dvfs import dvfs_gpu_spec, dvfs_savings_comparison
 from repro.extensions.async_comm import measured_async_savings
 from repro.extensions.multigpu import DeviceTiming, MultiwayDivider
-from repro.extensions.multigpu_sim import (
-    MultiGreenGpuController,
-    MultiHeteroSystem,
-    MultiRunResult,
-    run_multi_workload,
-)
 from repro.extensions.coupled import CoupledController, compare_coupling
 from repro.extensions.tuner import TuningResult, grid_search_wma_params
 
@@ -47,10 +43,6 @@ __all__ = [
     "measured_async_savings",
     "MultiwayDivider",
     "DeviceTiming",
-    "MultiHeteroSystem",
-    "MultiGreenGpuController",
-    "MultiRunResult",
-    "run_multi_workload",
     "CoupledController",
     "compare_coupling",
     "grid_search_wma_params",

@@ -85,6 +85,11 @@ class MultiwayDivider:
         """Current work shares (copy), summing to 1."""
         return self._shares.copy()
 
+    @property
+    def r(self) -> float:
+        """Current share of the first device (the CPU in a controller)."""
+        return float(self._shares[0])
+
     def _predict(self, share_new: float, share_old: float, t_old: float) -> float:
         """Linear §V-B extrapolation of one device's time to a new share."""
         if share_old <= _MIN_SIGNAL_SHARE:
@@ -144,6 +149,11 @@ class MultiwayDivider:
             decision = MultiwayDecision(self.shares, donor, receiver, False)
         self.history.append(decision)
         return decision
+
+    def update_times(self, *seconds: float) -> MultiwayDecision:
+        """:meth:`update` from one time per device, in ``names`` order."""
+        return self.update([DeviceTiming(name, t) for name, t
+                            in zip(self.names, seconds, strict=True)])
 
     # -- closed-loop helper used by tests and benches ---------------------------
 

@@ -25,7 +25,7 @@ inline fleet runs bit-comparable and node results content-addressable.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, fields, replace
 
 from repro.errors import ConfigError
 from repro.extensions.hardware_table import HARDWARE_TABLE
@@ -231,18 +231,55 @@ class FleetScenario:
 
     @classmethod
     def from_dict(cls, data: dict) -> "FleetScenario":
+        """Parse a :meth:`to_dict` payload (a shard job's scenario).
+
+        ``name``, ``n_nodes`` and ``hardware_mix`` are required: a
+        payload without its mix must not silently simulate the default
+        catalog.  Malformed input raises :class:`ConfigError` naming the
+        field.
+        """
+        if not isinstance(data, dict):
+            raise ConfigError("scenario payload must be an object, got "
+                              f"{type(data).__name__}")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ConfigError(f"unknown scenario field(s) {unknown}")
         data = dict(data)
-        data["budget_changes"] = tuple(
-            (float(t), float(f)) for t, f in data.get("budget_changes", ())
-        )
-        data["hardware_mix"] = tuple(
-            (str(k), float(w)) for k, w in data["hardware_mix"]
-        )
-        data["fault_burst_windows"] = tuple(
-            (float(s), float(d))
-            for s, d in data.get("fault_burst_windows", ())
-        )
+        for f in fields(cls):
+            if f.name not in data:
+                if f.default is MISSING or f.name == "hardware_mix":
+                    raise ConfigError(f"scenario field {f.name!r} is missing")
+            elif f.name in _PAIR_FIELDS:
+                data[f.name] = _pairs(f.name, data[f.name], _PAIR_FIELDS[f.name])
+            elif not _is_a(data[f.name], _SCALAR_TYPES[f.type]):
+                raise ConfigError(f"scenario field {f.name!r} must be {f.type}, "
+                                  f"got {data[f.name]!r}")
         return cls(**data)
+
+
+#: JSON types accepted per scalar field annotation (an int is a float).
+_SCALAR_TYPES = {"str": (str,), "int": (int,), "float": (int, float)}
+#: Pair-list fields and the type of each pair's first element.
+_PAIR_FIELDS = {"budget_changes": "float", "hardware_mix": "str",
+                "fault_burst_windows": "float"}
+
+
+def _is_a(value, types: tuple[type, ...]) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def _pairs(name: str, value, first: str) -> tuple[tuple, ...]:
+    """Validate a JSON list of ``[first, float]`` pairs into tuples."""
+    pairs = []
+    for item in value if isinstance(value, (list, tuple)) else [value]:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2
+                and _is_a(item[0], _SCALAR_TYPES[first])
+                and _is_a(item[1], _SCALAR_TYPES["float"])):
+            raise ConfigError(f"scenario field {name!r} needs [{first}, float] "
+                              f"pairs, got {item!r}")
+        key, number = item
+        pairs.append((key if first == "str" else float(key), float(number)))
+    return tuple(pairs)
 
 
 # -- named scenario generators -------------------------------------------------

@@ -1,13 +1,14 @@
 """Co-execution of divided iterations on the simulated testbed.
 
-Mirrors the paper's pthread/CUDA runtime (§VI): every iteration, the GPU
-share is dispatched as H2D transfer -> kernel -> D2H transfer while the
-CPU share runs concurrently; the host synchronizes both sides at the
-iteration barrier.  Under the paper's *synchronized* communication model
-the CPU busy-waits whenever it has no work of its own and the GPU is
-running — the behaviour that pins CPU utilization at 100 % and defeats the
-`ondemand` governor (§VII-A).  ``ExecutorOptions.sync_spin=False`` selects
-the asynchronous variant for the ablation benches.
+Mirrors the paper's pthread/CUDA runtime (§VI): every iteration, each GPU
+card's share (the controller's ``shares`` are ``(cpu, card 0, ...)``) is
+dispatched as H2D transfer -> kernel -> D2H transfer while the CPU share
+runs concurrently; the host synchronizes every side at the iteration
+barrier.  Under the paper's *synchronized* communication model the CPU
+busy-waits whenever it has no work of its own and a GPU is running — the
+behaviour that pins CPU utilization at 100 % and defeats the `ondemand`
+governor (§VII-A).  ``ExecutorOptions.sync_spin=False`` selects the
+asynchronous variant for the ablation benches.
 
 Division changes between iterations cost ``repartition_overhead_s`` of
 host time (data re-chunking and kernel re-invocation), which is what the
@@ -28,7 +29,6 @@ from repro.core.controller import GreenGpuController
 from repro.core.policies import Policy
 from repro.errors import SimulationError
 from repro.runtime.metrics import IterationMetrics, RunResult
-from repro.runtime.partition import split_units
 from repro.sim.activity import KernelActivity
 from repro.sim.platform import HeteroSystem, make_testbed
 from repro.sim.trace import TraceRecorder
@@ -69,7 +69,7 @@ class HeteroExecutor:
         self.controller = controller
         self.options = options or ExecutorOptions()
         self.telemetry = telemetry if telemetry is not None else NOOP
-        self._last_ratio: float | None = None
+        self._last_shares: tuple[float, ...] | None = None
 
     def run_iteration(self, index: int) -> IterationMetrics:
         """Execute one divided iteration and feed tier 1 at the barrier."""
@@ -90,50 +90,53 @@ class HeteroExecutor:
     def _run_iteration_body(self, index: int) -> IterationMetrics:
         system = self.system
         workload = self.workload
-        r = self.controller.ratio
+        cpu = system.cpu
+        shares = self.controller.shares
 
         # Repartitioning cost when the division changed since last iteration.
         if (
-            self._last_ratio is not None
-            and r != self._last_ratio
+            self._last_shares is not None
+            and shares != self._last_shares
             and self.options.repartition_overhead_s > 0.0
         ):
             self.telemetry.counter("repartitions_total").inc()
-            system.cpu.spin()
+            cpu.spin()
             system.run_for(self.options.repartition_overhead_s)
-            system.cpu.stop_spin()
-        self._last_ratio = r
+            cpu.stop_spin()
+        self._last_shares = shares
 
-        cpu_units, gpu_units = split_units(1.0, r)
         t0 = system.now
         e0 = system.total_energy_j
-        e0_gpu = system.meter_gpu.energy_j
+        e0_gpu = system.gpu_energy_j
         e0_cpu = system.meter_cpu.energy_j
 
-        if gpu_units > 0.0:
-            system.gpu.submit_transfer(
-                system.bus.make_transfer(workload.h2d_bytes(gpu_units), label="h2d")
-            )
-            system.gpu.submit_kernel(
-                KernelActivity(workload.gpu_phases(gpu_units, index), label=workload.name)
-            )
-            system.gpu.submit_transfer(
-                system.bus.make_transfer(workload.d2h_bytes(gpu_units), label="d2h")
-            )
-        if cpu_units > 0.0:
-            system.cpu.submit_kernel(
-                KernelActivity(workload.cpu_phases(cpu_units, index), label=workload.name)
+        for gpu, units in zip(system.gpus, shares[1:]):
+            if units > 0.0:
+                gpu.submit_transfer(
+                    system.bus.make_transfer(workload.h2d_bytes(units), label="h2d")
+                )
+                gpu.submit_kernel(
+                    KernelActivity(workload.gpu_phases(units, index), label=workload.name)
+                )
+                gpu.submit_transfer(
+                    system.bus.make_transfer(workload.d2h_bytes(units), label="d2h")
+                )
+        if shares[0] > 0.0:
+            cpu.submit_kernel(
+                KernelActivity(workload.cpu_phases(shares[0], index), label=workload.name)
             )
 
-        gpu_done: float | None = None if gpu_units > 0.0 else t0
-        cpu_done: float | None = None if cpu_units > 0.0 else t0
+        # When each side finished: [cpu, card 0, ...]; an idle side at t0.
+        # A side is busy exactly while its entry is None.
+        done: list[float | None] = [None if units > 0.0 else t0 for units in shares]
+        cards = tuple(enumerate(system.gpus, start=1))
         deadline = t0 + self.options.iteration_timeout_s
         steps = 0
 
-        if self.options.sync_spin and not system.cpu.has_work and system.gpu.busy:
-            system.cpu.spin()
+        if self.options.sync_spin and not cpu.has_work and system.any_gpu_busy():
+            cpu.spin()
 
-        while system.gpu.busy or system.cpu.has_work:
+        while None in done:
             if system.now >= deadline:
                 raise SimulationError(
                     f"iteration {index} of {workload.name!r} exceeded "
@@ -143,27 +146,26 @@ class HeteroExecutor:
             steps += 1
             if steps > _MAX_STEPS_PER_ITERATION:
                 raise SimulationError("step explosion inside an iteration")
-            if gpu_done is None and not system.gpu.busy:
-                gpu_done = system.now
-            if cpu_done is None and not system.cpu.has_work:
-                cpu_done = system.now
-                if self.options.sync_spin and system.gpu.busy:
-                    system.cpu.spin()
-        system.cpu.stop_spin()
+            for slot, gpu in cards:
+                if done[slot] is None and not gpu.busy:
+                    done[slot] = system.now
+            if done[0] is None and not cpu.has_work:
+                done[0] = system.now
+                if self.options.sync_spin and None in done:
+                    cpu.spin()
+        cpu.stop_spin()
 
-        assert gpu_done is not None and cpu_done is not None
-        tc = cpu_done - t0 if cpu_units > 0.0 else 0.0
-        tg = gpu_done - t0 if gpu_units > 0.0 else 0.0
-        self.controller.on_iteration_end(tc, tg)
+        times = [when - t0 for when in done]
+        self.controller.on_iteration_end(*times)
 
         return IterationMetrics(
             index=index,
-            r=r,
-            tc=tc,
-            tg=tg,
+            r=shares[0],
+            tc=times[0],
+            tg=max(times[1:]),
             wall_s=system.now - t0,
             energy_j=system.total_energy_j - e0,
-            gpu_energy_j=system.meter_gpu.energy_j - e0_gpu,
+            gpu_energy_j=system.gpu_energy_j - e0_gpu,
             cpu_energy_j=system.meter_cpu.energy_j - e0_cpu,
         )
 
@@ -250,7 +252,7 @@ def simulate(
         iterations=iterations,
         total_s=system.now - t0,
         total_energy_j=system.total_energy_j,
-        gpu_energy_j=system.meter_gpu.energy_j,
+        gpu_energy_j=system.gpu_energy_j,
         cpu_energy_j=system.meter_cpu.energy_j,
         cpu_spin_s=system.cpu.spin_seconds - spin0,
         cpu_spin_energy_j=system.cpu.spin_energy_j - spin_e0,

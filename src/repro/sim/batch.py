@@ -151,10 +151,11 @@ class _LaneDonor:
     setup of a 256-lane sweep.
     """
 
-    __slots__ = ("gpu", "cpu", "bus", "config")
+    __slots__ = ("gpu", "gpus", "cpu", "bus", "config")
 
     def __init__(self, config) -> None:
         self.gpu = GpuDevice(config.gpu)
+        self.gpus = (self.gpu,)  # the default testbed has one card
         self.cpu = CpuDevice(config.cpu)
         self.bus = config.bus
         self.config = config

@@ -1,11 +1,16 @@
-"""The assembled heterogeneous testbed: CPU + GPU + bus + meters + clock.
+"""The assembled heterogeneous testbed: CPU + GPU cards + bus + meters + clock.
 
 :class:`HeteroSystem` is the co-simulation driver.  It owns the simulated
-clock, both devices, the PCIe bus and the two wall meters, and exposes a
+clock, the CPU, one or more GPU cards, the PCIe bus and the wall meters
+(Meter1 on the CPU box, one Meter2-style supply per card), and exposes a
 single stepping primitive, :meth:`step`, which advances everything to the
 next event (a controller tick, a device phase boundary, or a caller-imposed
 horizon) without ever skipping one.  Power is piecewise constant between
 events, so meter integrals are exact.
+
+Card 0 is ``TestbedConfig.gpu`` (``system.gpu``, ``system.meter_gpu``);
+``TestbedConfig.extra_gpus`` adds cards, each with its own supply and
+meter (§VI's "one pthread for one GPU").
 
 :func:`make_testbed` builds the default calibrated instance mirroring the
 paper's Dell Optiplex 580 + GeForce 8800 GTX testbed (see
@@ -42,6 +47,8 @@ class TestbedConfig:
     # Bound on each meter's sample log; None keeps every window (historical
     # behavior).  When set, a full log is decimated 2:1 (see PowerMeter).
     sample_log_cap: int | None = None
+    # GPU cards after the first; each gets a Meter2-style supply and meter.
+    extra_gpus: tuple[GpuSpec, ...] = ()
 
 
 class HeteroSystem:
@@ -50,7 +57,9 @@ class HeteroSystem:
     def __init__(self, config: TestbedConfig):
         self.config = config
         self.clock = SimClock()
-        self.gpu = GpuDevice(config.gpu)
+        self.gpus = tuple(GpuDevice(spec)
+                          for spec in (config.gpu, *config.extra_gpus))
+        self.gpu = self.gpus[0]
         self.cpu = CpuDevice(config.cpu)
         self.bus = config.bus
         # Meter1: wall power of the desktop box (CPU side), paper Fig. 4.
@@ -62,15 +71,20 @@ class HeteroSystem:
             sample_period_s=config.meter_sample_period_s,
             sample_log_cap=config.sample_log_cap,
         )
-        # Meter2: wall power of the GPU card's dedicated ATX supply.
-        self.meter_gpu = PowerMeter(
-            "meter2-gpu-card",
-            [self.gpu.instantaneous_power],
-            overhead_w=config.meter2_overhead_w,
-            efficiency=config.meter2_efficiency,
-            sample_period_s=config.meter_sample_period_s,
-            sample_log_cap=config.sample_log_cap,
+        # Meter2: wall power of each GPU card's dedicated ATX supply.
+        self.meter_gpus = tuple(
+            PowerMeter(
+                f"meter2-gpu{i or ''}-card",
+                [gpu.instantaneous_power],
+                overhead_w=config.meter2_overhead_w,
+                efficiency=config.meter2_efficiency,
+                sample_period_s=config.meter_sample_period_s,
+                sample_log_cap=config.sample_log_cap,
+            )
+            for i, gpu in enumerate(self.gpus)
         )
+        self.meter_gpu = self.meter_gpus[0]
+        self._cards = tuple(zip(self.gpus, self.meter_gpus))
         # (busy, f, on_change) while a controller has parked a CPU tick.
         self._cpu_watch: tuple[bool, float, Callable[[], None]] | None = None
 
@@ -82,36 +96,44 @@ class HeteroSystem:
         return self.clock.now
 
     @property
+    def gpu_energy_j(self) -> float:
+        """Wall energy of every card's supply, in joules."""
+        return sum(meter.energy_j for meter in self.meter_gpus)
+
+    @property
     def total_energy_j(self) -> float:
-        """Whole-system wall energy (both meters), in joules."""
-        return self.meter_cpu.energy_j + self.meter_gpu.energy_j
+        """Whole-system wall energy (every meter), in joules."""
+        return self.meter_cpu.energy_j + self.gpu_energy_j
 
     def system_power(self) -> float:
         """Instantaneous whole-system wall power, in watts."""
-        return self.meter_cpu.instantaneous_power() + self.meter_gpu.instantaneous_power()
+        return self.meter_cpu.instantaneous_power() + sum(
+            meter.instantaneous_power() for meter in self.meter_gpus)
 
     def idle_system_power(self) -> float:
-        """Wall power with both devices idle at their *current* frequencies."""
-        gpu_idle = self.gpu.spec.power.idle_power(
-            self.gpu.f_core / self.gpu.spec.core_ladder.peak,
-            self.gpu.f_mem / self.gpu.spec.mem_ladder.peak,
-        )
-        cpu_idle = self.cpu.spec.power.idle_power(self.cpu.f_ratio)
+        """Wall power with every device idle at its *current* frequencies."""
         c = self.config
-        return (
-            (cpu_idle + c.meter1_overhead_w) / c.meter1_efficiency
-            + (gpu_idle + c.meter2_overhead_w) / c.meter2_efficiency
+        cpu_idle = self.cpu.spec.power.idle_power(self.cpu.f_ratio)
+        return (cpu_idle + c.meter1_overhead_w) / c.meter1_efficiency + sum(
+            (gpu.spec.power.idle_power(gpu.f_core / gpu.spec.core_ladder.peak,
+                                       gpu.f_mem / gpu.spec.mem_ladder.peak)
+             + c.meter2_overhead_w) / c.meter2_efficiency
+            for gpu in self.gpus
         )
+
+    def any_gpu_busy(self) -> bool:
+        """True while any card has queued work."""
+        return any(gpu.busy for gpu in self.gpus)
 
     def reset_meters(self) -> None:
-        """Zero both meters (start of a measured experiment)."""
-        self.meter_cpu.reset()
-        self.meter_gpu.reset()
+        """Zero every meter (start of a measured experiment)."""
+        for meter in (self.meter_cpu, *self.meter_gpus):
+            meter.reset()
 
     def finalize_meters(self) -> None:
-        """Flush both meters' trailing partial sample windows (end of run)."""
-        self.meter_cpu.finalize()
-        self.meter_gpu.finalize()
+        """Flush every meter's trailing partial sample window (end of run)."""
+        for meter in (self.meter_cpu, *self.meter_gpus):
+            meter.finalize()
 
     # -- CPU watch ------------------------------------------------------------------
 
@@ -143,7 +165,8 @@ class HeteroSystem:
         deadline = self.clock.next_deadline()
         if deadline is not None:
             candidates.append(max(0.0, deadline - self.clock.now))
-        for tte in (self.gpu.time_to_event(), self.cpu.time_to_event()):
+        for device in (*self.gpus, self.cpu):
+            tte = device.time_to_event()
             if tte is not None:
                 candidates.append(tte)
         if horizon is not None:
@@ -160,7 +183,7 @@ class HeteroSystem:
         """Advance to the next event (bounded by ``horizon`` seconds ahead).
 
         Returns the dt actually advanced.  Order per step: integrate the
-        meters at the *current* powers, advance both devices, then advance
+        meters at the *current* powers, advance the devices, then advance
         the clock (firing any due controller callbacks, which may change
         frequencies or submit work for subsequent steps).
 
@@ -173,7 +196,6 @@ class HeteroSystem:
         if self._cpu_watch is not None:
             self._check_cpu_watch()
         clock = self.clock
-        gpu = self.gpu
         cpu = self.cpu
         dt: float | None = None
         deadline = clock.next_deadline()
@@ -181,9 +203,10 @@ class HeteroSystem:
             dt = deadline - clock.now
             if dt < 0.0:
                 dt = 0.0
-        tte = gpu.time_to_event()
-        if tte is not None and (dt is None or tte < dt):
-            dt = tte
+        for gpu in self.gpus:
+            tte = gpu.time_to_event()
+            if tte is not None and (dt is None or tte < dt):
+                dt = tte
         tte = cpu.time_to_event()
         if tte is not None and (dt is None or tte < dt):
             dt = tte
@@ -202,11 +225,12 @@ class HeteroSystem:
         meter.accumulate_from(
             (cpu.instantaneous_power() + meter.overhead_w) / meter.efficiency, dt
         )
-        meter = self.meter_gpu
-        meter.accumulate_from(
-            (gpu.instantaneous_power() + meter.overhead_w) / meter.efficiency, dt
-        )
-        gpu.advance(dt)
+        for gpu, meter in self._cards:
+            meter.accumulate_from(
+                (gpu.instantaneous_power() + meter.overhead_w) / meter.efficiency,
+                dt,
+            )
+            gpu.advance(dt)
         cpu.advance(dt)
         clock.advance_by(dt)
         return dt
@@ -220,7 +244,8 @@ class HeteroSystem:
         :meth:`step` — the paired-oracle property test replays whole runs
         through both and compares every integral exactly.
         """
-        self.gpu.invalidate_caches()
+        for gpu in self.gpus:
+            gpu.invalidate_caches()
         self.cpu.invalidate_caches()
         if self._cpu_watch is not None:
             self._check_cpu_watch()
@@ -230,12 +255,13 @@ class HeteroSystem:
             / self.meter_cpu.efficiency,
             dt,
         )
-        self.meter_gpu.accumulate_from(
-            (self.gpu.instantaneous_power_uncached() + self.meter_gpu.overhead_w)
-            / self.meter_gpu.efficiency,
-            dt,
-        )
-        self.gpu.advance(dt)
+        for gpu, meter in self._cards:
+            meter.accumulate_from(
+                (gpu.instantaneous_power_uncached() + meter.overhead_w)
+                / meter.efficiency,
+                dt,
+            )
+            gpu.advance(dt)
         self.cpu.advance(dt)
         self.clock.advance_by(dt)
         return dt
@@ -253,14 +279,14 @@ class HeteroSystem:
                 raise SimulationError("step explosion: too many events in run_for")
 
     def run_until_devices_idle(self, timeout_s: float = 1.0e6) -> None:
-        """Step until neither device has queued work (spin does not block).
+        """Step until no device has queued work (spin does not block).
 
         Raises if the work does not drain within ``timeout_s`` of simulated
         time — that indicates a deadlocked experiment setup.
         """
         end = self.clock.now + timeout_s
         steps = 0
-        while self.gpu.busy or self.cpu.has_work:
+        while self.any_gpu_busy() or self.cpu.has_work:
             if self.clock.now >= end:
                 raise SimulationError("devices still busy at timeout")
             self.step(horizon=end - self.clock.now)

@@ -1,59 +1,90 @@
-"""Tests for the full multi-GPU co-simulation."""
+"""Multi-GPU co-simulation: GreenGPU on a testbed with N cards.
+
+Every run here goes through the one platform, controller and executor:
+``TestbedConfig.extra_gpus`` adds the cards, the controller runs one WMA
+scaler per card plus the N-way divider, and the executor submits and
+times each card's share.  Runs that need the final per-card shares hold
+their controller and drive :class:`HeteroExecutor` directly, because
+:func:`simulate` detaches (and so resets) the controller it builds.
+"""
 
 import dataclasses
 
 import pytest
 
 from repro.core.config import GreenGpuConfig
+from repro.core.controller import GreenGpuController
+from repro.core.policies import GreenGpuPolicy
 from repro.errors import ConfigError, SimulationError
-from repro.extensions.multigpu_sim import (
-    MultiGreenGpuController,
-    MultiHeteroSystem,
-    run_multi_workload,
-)
-from repro.sim.calibration import geforce_8800_gtx_spec
+from repro.runtime.executor import ExecutorOptions, HeteroExecutor, simulate
+from repro.sim.calibration import default_testbed_config, geforce_8800_gtx_spec
+from repro.sim.platform import HeteroSystem
+from repro.telemetry import Telemetry
+from repro.telemetry.audit import AuditTrail
 from tests.conftest import FAST_SCALE, fast_workload
 
 
-@pytest.fixture
-def fast_cfg():
+def _cfg():
     return GreenGpuConfig(
-        scaling_interval_s=3.0 * FAST_SCALE,
-        ondemand_interval_s=0.1 * FAST_SCALE,
-    )
-
-
-def _run(n_gpus, workload_name="kmeans", n_iterations=8, cfg=None, gpu_specs=None):
-    if gpu_specs is None:
-        gpu_specs = [geforce_8800_gtx_spec() for _ in range(n_gpus)]
-    system = MultiHeteroSystem(gpu_specs=gpu_specs)
-    cfg = cfg or GreenGpuConfig(
         scaling_interval_s=3.0 * FAST_SCALE, ondemand_interval_s=0.1 * FAST_SCALE
     )
-    return run_multi_workload(
-        fast_workload(workload_name),
-        system=system,
-        controller=MultiGreenGpuController(system, cfg),
-        n_iterations=n_iterations,
+
+
+def _system(n_gpus=2, gpu_specs=None):
+    if gpu_specs is None:
+        gpu_specs = [geforce_8800_gtx_spec() for _ in range(n_gpus)]
+    return HeteroSystem(dataclasses.replace(
+        default_testbed_config(), gpu=gpu_specs[0], extra_gpus=tuple(gpu_specs[1:])
+    ))
+
+
+def _run(n_gpus, n_iterations=8, gpu_specs=None):
+    """GreenGPU on a caller-built system; returns (system, shares, iterations)."""
+    system = _system(n_gpus, gpu_specs)
+    policy = GreenGpuPolicy(config=_cfg())
+    policy.apply_initial_state(system)
+    controller = policy.make_controller()
+    controller.attach(system)
+    options = ExecutorOptions(repartition_overhead_s=0.5 * FAST_SCALE)
+    iterations = HeteroExecutor(
+        system, fast_workload("kmeans"), controller, options
+    ).run(n_iterations)
+    shares = controller.shares
+    controller.detach()
+    return system, shares, iterations
+
+
+def _simulate(n_gpus, n_iterations=8):
+    return simulate(
+        fast_workload("kmeans"), GreenGpuPolicy(config=_cfg()),
+        n_iterations=n_iterations, system=_system(n_gpus),
+        options=ExecutorOptions(repartition_overhead_s=0.5 * FAST_SCALE),
     )
 
 
 class TestPlatform:
     def test_requires_one_gpu(self):
-        with pytest.raises(ConfigError):
-            MultiHeteroSystem(gpu_specs=[])
+        """Card 0 is the config's required ``gpu``; extra cards are optional."""
+        base = default_testbed_config()
+        with pytest.raises(TypeError):
+            type(base)(cpu=base.cpu, bus=base.bus)
+        system = HeteroSystem(base)
+        assert system.gpus == (system.gpu,)
+        assert system.meter_gpus == (system.meter_gpu,)
 
     def test_default_is_dual_gpu(self):
-        assert len(MultiHeteroSystem().gpus) == 2
+        """The helper's default (and the bench's) is a two-card testbed."""
+        system = _system()
+        assert len(system.gpus) == 2
+        assert system.gpus[0] is system.gpu
 
     def test_one_meter_per_card(self):
-        system = MultiHeteroSystem(
-            gpu_specs=[geforce_8800_gtx_spec()] * 3
-        )
+        system = _system(3)
         assert len(system.meter_gpus) == 3
+        assert len({meter.name for meter in system.meter_gpus}) == 3
 
     def test_energy_sums_all_meters(self):
-        system = MultiHeteroSystem()
+        system = _system()
         system.step(horizon=2.0)
         expected = system.meter_cpu.energy_j + sum(
             m.energy_j for m in system.meter_gpus
@@ -63,32 +94,43 @@ class TestPlatform:
 
 class TestDualGpuRun:
     @pytest.fixture(scope="class")
-    def result(self):
+    def run(self):
         return _run(n_gpus=2, n_iterations=10)
 
-    def test_identical_cards_share_equally(self, result):
+    def test_identical_cards_share_equally(self, run):
         """Two identical GPUs must end with (near) equal shares."""
-        _, g0, g1 = result.final_shares
+        _, (_, g0, g1), _ = run
         assert g0 == pytest.approx(g1, abs=0.051)
 
-    def test_cpu_share_shrinks_from_uniform(self, result):
+    def test_cpu_share_shrinks_from_uniform(self, run):
         """The slow CPU gives up work to the cards."""
-        assert result.final_shares[0] < 0.30
+        _, shares, _ = run
+        assert shares[0] < 0.30
 
-    def test_shares_sum_to_one(self, result):
-        assert sum(result.final_shares) == pytest.approx(1.0)
+    def test_shares_sum_to_one(self, run):
+        _, shares, _ = run
+        assert sum(shares) == pytest.approx(1.0)
 
-    def test_iteration_times_decrease_with_balance(self, result):
-        assert result.iteration_times[-1] < result.iteration_times[0]
+    def test_iteration_times_decrease_with_balance(self, run):
+        _, _, iterations = run
+        assert iterations[-1].wall_s < iterations[0].wall_s
 
     def test_two_gpus_faster_than_one(self):
-        one = _run(n_gpus=1, n_iterations=8)
-        two = _run(n_gpus=2, n_iterations=8)
+        one = _simulate(n_gpus=1)
+        two = _simulate(n_gpus=2)
         assert two.total_s < one.total_s
 
-    def test_result_metadata(self, result):
+    def test_result_metadata(self):
+        system = _system(2)
+        result = simulate(
+            fast_workload("kmeans"), GreenGpuPolicy(config=_cfg()),
+            n_iterations=2, system=system,
+        )
         assert result.workload == "kmeans"
-        assert result.n_gpus == 2
+        assert len(result.iterations) == 2
+        # Both cards' supplies are metered into the GPU-side energy.
+        assert result.gpu_energy_j == system.gpu_energy_j
+        assert result.gpu_energy_j > system.meter_gpu.energy_j
 
 
 class TestHeterogeneousCards:
@@ -100,34 +142,87 @@ class TestHeterogeneousCards:
             peak_compute_rate=fast_card.peak_compute_rate / 2.0,
             peak_bandwidth=fast_card.peak_bandwidth / 2.0,
         )
-        result = _run(
+        _, (_, g_fast, g_slow), _ = _run(
             n_gpus=2, n_iterations=14, gpu_specs=[fast_card, slow_card]
         )
-        _, g_fast, g_slow = result.final_shares
         assert g_fast > g_slow
 
 
 class TestControllerIntegration:
-    def test_per_card_scalers_independent(self, fast_cfg):
-        system = MultiHeteroSystem()
-        controller = MultiGreenGpuController(system, fast_cfg)
+    def test_per_card_scalers_independent(self):
+        system = _system()
+        controller = GreenGpuController(config=_cfg())
+        controller.attach(system)
         assert len(controller.scalers) == 2
         assert controller.scalers[0] is not controller.scalers[1]
         controller.detach()
 
-    def test_scaling_throttles_idle_cards(self, fast_cfg):
-        system = MultiHeteroSystem()
+    def test_scaling_throttles_idle_cards(self):
+        system = _system()
         for gpu in system.gpus:
             gpu.set_peak()
-        controller = MultiGreenGpuController(system, fast_cfg)
+        cfg = _cfg()
+        controller = GreenGpuController(config=cfg)
+        controller.attach(system)
         # No work: run the clock alone for several scaling intervals.
-        end = system.now + 10 * fast_cfg.scaling_interval_s
-        while system.now < end:
-            system.step(horizon=end - system.now)
+        system.run_for(10 * cfg.scaling_interval_s)
         for gpu in system.gpus:
             assert gpu.f_core == gpu.spec.core_ladder.floor
         controller.detach()
 
     def test_run_validates_iterations(self):
         with pytest.raises(SimulationError):
-            run_multi_workload(fast_workload("kmeans"), n_iterations=0)
+            _simulate(n_gpus=2, n_iterations=0)
+
+    def test_audit_rejects_multi_card_system(self):
+        """The audit schema is one scaler's; per-card audit is not recorded."""
+        controller = GreenGpuController(config=_cfg(), audit=AuditTrail())
+        with pytest.raises(ConfigError):
+            controller.attach(_system())
+        assert not controller.attached
+
+    def test_ceiling_caps_every_card(self):
+        system = _system()
+        for gpu in system.gpus:
+            gpu.set_peak()
+        controller = GreenGpuController(config=_cfg())
+        controller.attach(system)
+        controller.set_level_ceiling(2, 2)
+        for gpu in system.gpus:
+            assert gpu.f_core == gpu.spec.core_ladder[2]
+            assert gpu.f_mem == gpu.spec.mem_ladder[2]
+        controller.detach()
+
+
+class TestOndemandParking:
+    def test_two_card_run_parks_the_ondemand_tick(self, monkeypatch):
+        """The tier-2 CPU loop parks on a multi-card run as on one card,
+        so the run's steps stay near the one-card run's (456), far from
+        one per ondemand interval (over 5,000)."""
+        from repro.experiments.common import (
+            scaled_config,
+            scaled_options,
+            scaled_workload,
+        )
+
+        steps = 0
+        step = HeteroSystem.step
+
+        def counting_step(self, horizon=None):
+            nonlocal steps
+            steps += 1
+            return step(self, horizon)
+
+        monkeypatch.setattr(HeteroSystem, "step", counting_step)
+        telemetry = Telemetry()
+        simulate(
+            scaled_workload("kmeans", 0.25),
+            GreenGpuPolicy(config=scaled_config(0.25)),
+            n_iterations=4, system=_system(), options=scaled_options(0.25),
+            telemetry=telemetry,
+        )
+        skipped = telemetry.registry.counter(
+            "ondemand_ticks_skipped_total", workload="kmeans", policy="greengpu"
+        ).value
+        assert skipped > 0
+        assert steps <= 1200

@@ -73,7 +73,7 @@ class TestMonitorFallback:
     def test_single_fault_falls_back_to_last_sample(self, testbed, fast_config):
         ctrl = attach_scaling_only(testbed, fast_config)
         testbed.run_for(fast_config.scaling_interval_s)  # one clean tick
-        ctrl._nvsmi = ScriptedGpuMonitor(ctrl._nvsmi, fails=[True])
+        ctrl._cards[0].nvsmi = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[True])
         testbed.run_for(fast_config.scaling_interval_s)
         assert ctrl.health.monitor_faults == 1
         assert ctrl.health.fallbacks == 1
@@ -83,7 +83,7 @@ class TestMonitorFallback:
 
     def test_no_sample_ever_means_skip(self, testbed, fast_config):
         ctrl = attach_scaling_only(testbed, fast_config)
-        ctrl._nvsmi = ScriptedGpuMonitor(ctrl._nvsmi, fails=[True, True])
+        ctrl._cards[0].nvsmi = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[True, True])
         testbed.run_for(2 * fast_config.scaling_interval_s)
         assert ctrl.health.skipped_ticks == 2
         assert ctrl.health.fallbacks == 0
@@ -92,9 +92,9 @@ class TestMonitorFallback:
     def test_stale_window_expires_into_skip(self, testbed, fast_config):
         ctrl = attach_scaling_only(testbed, fast_config)  # stale window = 3 ticks
         testbed.run_for(fast_config.scaling_interval_s)  # clean tick at t=T
-        monitor = ScriptedGpuMonitor(ctrl._nvsmi, fails=[])
+        monitor = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[])
         monitor.always_fail = True
-        ctrl._nvsmi = monitor
+        ctrl._cards[0].nvsmi = monitor
         testbed.run_for(4 * fast_config.scaling_interval_s)
         # Ages at the 4 faulty ticks: 1T, 2T, 3T (fallbacks), 4T (skip).
         assert ctrl.health.fallbacks == 3
@@ -104,7 +104,7 @@ class TestMonitorFallback:
         rec = TraceRecorder()
         ctrl = attach_scaling_only(testbed, fast_config, recorder=rec)
         testbed.run_for(fast_config.scaling_interval_s)
-        ctrl._nvsmi = ScriptedGpuMonitor(ctrl._nvsmi, fails=[True])
+        ctrl._cards[0].nvsmi = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[True])
         testbed.run_for(fast_config.scaling_interval_s)
         assert len(rec.trace("ctrl_fallback")) == 1
 
@@ -112,9 +112,9 @@ class TestMonitorFallback:
 class TestWatchdog:
     def make_dead_monitor_ctrl(self, testbed, fast_config):
         ctrl = attach_scaling_only(testbed, fast_config)
-        monitor = ScriptedGpuMonitor(ctrl._nvsmi, fails=[])
+        monitor = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[])
         monitor.always_fail = True
-        ctrl._nvsmi = monitor
+        ctrl._cards[0].nvsmi = monitor
         return ctrl, monitor
 
     def test_degrades_after_threshold_and_goes_to_peak(self, testbed, fast_config):
@@ -141,9 +141,9 @@ class TestWatchdog:
     def test_degraded_state_is_visible_on_the_trace(self, testbed, fast_config):
         rec = TraceRecorder()
         ctrl = attach_scaling_only(testbed, fast_config, recorder=rec)
-        monitor = ScriptedGpuMonitor(ctrl._nvsmi, fails=[])
+        monitor = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[])
         monitor.always_fail = True
-        ctrl._nvsmi = monitor
+        ctrl._cards[0].nvsmi = monitor
         testbed.run_for(6 * fast_config.scaling_interval_s)
         monitor.always_fail = False
         testbed.run_for(2 * fast_config.scaling_interval_s)
@@ -155,7 +155,7 @@ class TestActuationRetry:
     def test_retry_lands_an_ignored_write(self, testbed, fast_config):
         testbed.gpu.set_peak()  # idle WMA decision (floor) forces a write
         ctrl = attach_scaling_only(testbed, fast_config)
-        ctrl._actuator = IgnoringActuator(testbed.gpu, ignore_first=1)
+        ctrl._cards[0].actuator = IgnoringActuator(testbed.gpu, ignore_first=1)
         testbed.run_for(fast_config.scaling_interval_s)
         assert ctrl.health.retries == 1
         assert ctrl.health.actuation_faults == 0
@@ -166,7 +166,7 @@ class TestActuationRetry:
         testbed.gpu.set_peak()
         ctrl = attach_scaling_only(testbed, fast_config)
         actuator = IgnoringActuator(testbed.gpu, ignore_first=10**9)
-        ctrl._actuator = actuator
+        ctrl._cards[0].actuator = actuator
         testbed.run_for(fast_config.scaling_interval_s)
         max_attempts = ctrl.hardening.retry.max_attempts
         assert actuator.calls == max_attempts
@@ -176,7 +176,7 @@ class TestActuationRetry:
     def test_persistent_write_failure_trips_the_watchdog(self, testbed, fast_config):
         testbed.gpu.set_peak()
         ctrl = attach_scaling_only(testbed, fast_config)
-        ctrl._actuator = IgnoringActuator(testbed.gpu, ignore_first=10**9)
+        ctrl._cards[0].actuator = IgnoringActuator(testbed.gpu, ignore_first=10**9)
         threshold = ctrl.hardening.watchdog_threshold
         testbed.run_for((threshold + 1) * fast_config.scaling_interval_s)
         assert ctrl.degraded
@@ -184,9 +184,9 @@ class TestActuationRetry:
 
 class TestFrozenDivision:
     def degrade(self, ctrl, testbed, fast_config):
-        monitor = ScriptedGpuMonitor(ctrl._nvsmi, fails=[])
+        monitor = ScriptedGpuMonitor(ctrl._cards[0].nvsmi, fails=[])
         monitor.always_fail = True
-        ctrl._nvsmi = monitor
+        ctrl._cards[0].nvsmi = monitor
         threshold = ctrl.hardening.watchdog_threshold
         testbed.run_for((threshold + 1) * fast_config.scaling_interval_s)
         assert ctrl.degraded

@@ -134,6 +134,26 @@ class TestSerialization:
         clone = FleetScenario.from_dict(json.loads(json.dumps(scn.to_dict())))
         assert clone == scn
 
+    @pytest.mark.parametrize("change, field", [
+        ({"hardware_mix": None}, "hardware_mix"),        # missing
+        ({"hardware_mix": 5}, "hardware_mix"),
+        ({"hardware_mix": [["a"]]}, "hardware_mix"),
+        ({"budget_changes": [[1, "x"]]}, "budget_changes"),
+        ({"colour": "blue"}, "colour"),
+        ({"n_nodes": "3"}, "n_nodes"),
+        ({"fault_burst_windows": [1, 2]}, "fault_burst_windows"),
+        (None, "list"),                                   # a list body
+    ])
+    def test_malformed_payload_names_the_field(self, change, field):
+        payload = make_scenario("diurnal", n_nodes=4).to_dict()
+        if change is None:
+            payload = list(payload.items())
+        else:
+            payload.update(change)
+            payload = {k: v for k, v in payload.items() if v is not None}
+        with pytest.raises(ConfigError, match=field):
+            FleetScenario.from_dict(payload)
+
     def test_unknown_scenario_name(self):
         with pytest.raises(ConfigError, match="unknown scenario"):
             make_scenario("nocturnal", n_nodes=4)

@@ -85,6 +85,21 @@ class TestWholeRunBitIdentity:
         assert result_to_dict(fast) == result_to_dict(oracle)
 
 
+def _two_card_testbed():
+    """Default testbed plus a second card with a different spec."""
+    import dataclasses
+
+    from repro.sim.calibration import default_testbed_config
+
+    config = default_testbed_config()
+    card1 = dataclasses.replace(
+        config.gpu, name="half-speed card",
+        peak_compute_rate=config.gpu.peak_compute_rate / 2.0,
+        peak_bandwidth=config.gpu.peak_bandwidth * 0.75,
+    )
+    return HeteroSystem(dataclasses.replace(config, extra_gpus=(card1,)))
+
+
 def _submit_scenario(system, kernels, cpu_frequency_level, gpu_levels):
     """Load one deterministic scenario onto a fresh testbed."""
     gpu, cpu = system.gpu, system.cpu
@@ -124,20 +139,32 @@ class TestStepTrajectoryBitIdentity:
         core_level=st.integers(0, 2),
         mem_level=st.integers(0, 2),
         tick_period=st.floats(0.05, 0.4),
+        # None: the one-card testbed; else a second, different card's levels.
+        card1_levels=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5)),
     )
-    @settings(max_examples=25, deadline=None)
+    @settings(max_examples=40, deadline=None)
     def test_dt_sequence_and_integrals_match(self, kernels, cpu_level,
                                              core_level, mem_level,
-                                             tick_period):
-        fast = make_testbed()
-        oracle = make_testbed()
+                                             tick_period, card1_levels):
+        two_cards = card1_levels is not None
+        fast = _two_card_testbed() if two_cards else make_testbed()
+        oracle = _two_card_testbed() if two_cards else make_testbed()
         for system in (fast, oracle):
             _submit_scenario(system, kernels, cpu_level,
                              (core_level, mem_level))
+            if two_cards:
+                card = system.gpus[1]
+                card.set_levels(*card1_levels)
+                for flops_scale, bytes_scale, stall_s in reversed(kernels):
+                    card.submit_kernel(KernelActivity([PhaseDemand(
+                        flops=0.7 * flops_scale * card.spec.peak_compute_rate,
+                        bytes=1.3 * bytes_scale * card.spec.peak_bandwidth,
+                        stall_s=stall_s,
+                    )]))
             system.clock.every(tick_period, lambda t: None)
 
-        for _ in range(400):
-            if not (fast.gpu.busy or fast.cpu.has_work):
+        for _ in range(800):
+            if not (fast.any_gpu_busy() or fast.cpu.has_work):
                 break
             dt_fast = fast.step(horizon=10.0)
             dt_ref = oracle._step_reference(horizon=10.0)
@@ -146,12 +173,15 @@ class TestStepTrajectoryBitIdentity:
         oracle.finalize_meters()
 
         assert fast.meter_cpu.energy_j == oracle.meter_cpu.energy_j
-        assert fast.meter_gpu.energy_j == oracle.meter_gpu.energy_j
         assert fast.meter_cpu.elapsed_s == oracle.meter_cpu.elapsed_s
         assert fast.meter_cpu.samples == oracle.meter_cpu.samples
-        assert fast.meter_gpu.samples == oracle.meter_gpu.samples
-        assert fast.gpu.energy_j == oracle.gpu.energy_j
+        for a, b in zip(fast.meter_gpus, oracle.meter_gpus, strict=True):
+            assert a.energy_j == b.energy_j
+            assert a.samples == b.samples
+        for a, b in zip(fast.gpus, oracle.gpus, strict=True):
+            assert a.energy_j == b.energy_j
         assert fast.cpu.energy_j == oracle.cpu.energy_j
+        assert fast.total_energy_j == oracle.total_energy_j
         assert fast.now == oracle.now
 
     def test_mid_run_frequency_changes_match(self):

@@ -116,3 +116,87 @@ class TestEnergyConsistency:
         testbed.run_for(1.0)
         testbed.reset_meters()
         assert testbed.total_energy_j == 0.0
+
+
+def _two_card_testbed():
+    import dataclasses
+
+    from repro.sim.calibration import default_testbed_config, geforce_8800_gtx_spec
+    from repro.sim.platform import HeteroSystem
+
+    return HeteroSystem(dataclasses.replace(
+        default_testbed_config(), extra_gpus=(geforce_8800_gtx_spec(),)
+    ))
+
+
+class TestEveryCard:
+    """Whole-system measurement and waiting cover every GPU card."""
+
+    def test_card_zero_is_the_one_card_surface(self):
+        system = _two_card_testbed()
+        assert system.gpus[0] is system.gpu
+        assert system.meter_gpus[0] is system.meter_gpu
+        assert system.meter_gpu.name == "meter2-gpu-card"
+        assert system.meter_gpus[1].name == "meter2-gpu1-card"
+
+    def test_total_energy_sums_every_meter(self):
+        system = _two_card_testbed()
+        system.gpus[1].set_peak()
+        system.gpus[1].submit_kernel(_gpu_kernel(system, 2.0))
+        system.run_for(3.0)
+        card0, card1 = system.meter_gpus
+        assert card1.energy_j > card0.energy_j > 0.0
+        assert system.gpu_energy_j == card0.energy_j + card1.energy_j
+        assert system.total_energy_j == (
+            system.meter_cpu.energy_j + card0.energy_j + card1.energy_j
+        )
+
+    def test_system_power_sums_every_meter(self):
+        system = _two_card_testbed()
+        system.gpus[1].set_peak()
+        system.gpus[1].submit_kernel(_gpu_kernel(system, 2.0))
+        system.step(horizon=0.5)
+        expected = system.meter_cpu.instantaneous_power() + sum(
+            meter.instantaneous_power() for meter in system.meter_gpus
+        )
+        assert system.system_power() == pytest.approx(expected, rel=1e-12)
+        one_card = make_testbed()
+        assert system.system_power() > one_card.system_power()
+
+    def test_idle_power_counts_every_card(self):
+        system = _two_card_testbed()
+        one_card = make_testbed()
+        card1 = system.gpus[1]
+        card1_idle = card1.spec.power.idle_power(
+            card1.f_core / card1.spec.core_ladder.peak,
+            card1.f_mem / card1.spec.mem_ladder.peak,
+        )
+        cfg = system.config
+        assert system.idle_system_power() == pytest.approx(
+            one_card.idle_system_power()
+            + (card1_idle + cfg.meter2_overhead_w) / cfg.meter2_efficiency,
+            rel=1e-12,
+        )
+        # Idle, the whole system sits at its idle power.
+        assert system.system_power() == pytest.approx(
+            system.idle_system_power(), rel=1e-12
+        )
+
+    def test_reset_and_finalize_cover_every_meter(self):
+        system = _two_card_testbed()
+        system.run_for(2.5)
+        system.finalize_meters()
+        for meter in system.meter_gpus:
+            assert len(meter.samples) == 3  # two full windows + the partial
+        system.reset_meters()
+        assert system.total_energy_j == 0.0
+        for meter in (system.meter_cpu, *system.meter_gpus):
+            assert meter.energy_j == 0.0
+
+    def test_run_until_devices_idle_waits_for_every_card(self):
+        system = _two_card_testbed()
+        system.gpus[1].set_peak()
+        system.gpus[1].submit_kernel(_gpu_kernel(system, 3.0))
+        system.run_until_devices_idle()
+        assert not system.any_gpu_busy()
+        assert system.now == pytest.approx(3.0, rel=0.05)
