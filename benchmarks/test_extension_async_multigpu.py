@@ -1,4 +1,4 @@
-"""Extension benches: measured async CPU throttling and N-way division.
+"""Extension benches: measured async CPU throttling and multi-GPU division.
 
 - ``test_extension_async_comm`` replaces the paper's Fig. 6c *emulation*
   with a real asynchronous run in which `ondemand` actually throttles.
@@ -6,10 +6,9 @@
   setup §VI anticipates ("one pthread for one GPU").
 """
 
-import numpy as np
-
+from repro.core.config import GreenGpuConfig
+from repro.core.division import WorkloadDivider
 from repro.extensions.async_comm import measured_async_savings
-from repro.extensions.multigpu import MultiwayDivider
 
 
 def test_extension_async_comm(run_once, benchmark):
@@ -25,17 +24,20 @@ def test_extension_async_comm(run_once, benchmark):
 
 
 def test_extension_multiway_division(run_once, benchmark):
-    """Convergence quality of N-way division for 2..5 devices."""
+    """Closed-loop convergence of tier 1 on one to four GPU cards."""
 
     def sweep():
         out = {}
         for n_gpus in (1, 2, 3, 4):
-            names = ["cpu"] + [f"gpu{i}" for i in range(n_gpus)]
             # CPU 5x slower per unit; GPUs slightly heterogeneous.
             unit_times = [5.0] + [1.0 + 0.2 * i for i in range(n_gpus)]
-            divider = MultiwayDivider(names, step=0.02)
-            divider.drive(unit_times, iterations=200)
-            out[n_gpus] = divider.imbalance(unit_times)
+            divider = WorkloadDivider(GreenGpuConfig(division_step=0.02),
+                                      cards=n_gpus)
+            for _ in range(200):
+                divider.update(*(s * u for s, u
+                                 in zip(divider.shares, unit_times)))
+            times = [s * u for s, u in zip(divider.shares, unit_times) if s > 0.0]
+            out[n_gpus] = max(times) / min(times)
         return out
 
     imbalances = run_once(sweep)
@@ -46,5 +48,5 @@ def test_extension_multiway_division(run_once, benchmark):
     # Every configuration balances to within ~1.5x between the slowest
     # and fastest device (step-quantization bound for the smallest share).
     assert all(v < 1.5 for v in imbalances.values())
-    # The 2-device case reduces to the paper's setup and balances tightly.
+    # One card is the paper's setup and balances tightly.
     assert imbalances[1] < 1.2

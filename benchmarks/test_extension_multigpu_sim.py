@@ -1,6 +1,6 @@
 """Extension bench: full multi-GPU co-simulation scaling.
 
-Measures how the complete GreenGPU stack (per-card WMA + ondemand + N-way
+Measures how the complete GreenGPU stack (per-card WMA + ondemand + tier-1
 division) scales from one to three cards on kmeans.  The cards come from
 ``TestbedConfig.extra_gpus``; the run holds its controller so it can read
 the final per-card shares before detaching.

@@ -4,7 +4,7 @@
 1. the §VI 8-bit on-chip weight table vs the software controller;
 2. a DVFS-capable GPU (the §VII-C "we expect more energy saving" claim);
 3. measured — not emulated — CPU throttling with async communication;
-4. N-way division across multiple GPUs;
+4. tier-1 division across multiple GPUs;
 5. auto-tuned WMA parameters vs the paper's hand-tuned ones.
 
 Usage:
@@ -12,11 +12,11 @@ Usage:
 """
 
 from repro.core.config import GreenGpuConfig
+from repro.core.division import WorkloadDivider
 from repro.core.wma import WmaFrequencyScaler
 from repro.extensions.async_comm import measured_async_savings
 from repro.extensions.gpu_dvfs import dvfs_savings_comparison
 from repro.extensions.hardware_table import QuantizedWmaScaler
-from repro.extensions.multigpu import MultiwayDivider
 from repro.extensions.tuner import grid_search_wma_params
 from repro.sim.calibration import geforce_8800_gtx_spec
 from repro.units import to_mhz
@@ -57,15 +57,17 @@ def async_demo() -> None:
 
 
 def multigpu_demo() -> None:
-    print("4. N-way division — one pthread per GPU (§VI)")
+    print("4. Tier-1 division over several GPUs — one pthread per GPU (§VI)")
     names = ["cpu", "gpu0", "gpu1", "gpu2"]
     unit_times = [5.0, 1.0, 1.2, 1.4]
-    divider = MultiwayDivider(names, step=0.02)
-    shares = divider.drive(unit_times, iterations=200)
-    for name, share, t in zip(names, shares, unit_times):
+    divider = WorkloadDivider(GreenGpuConfig(division_step=0.02), cards=3)
+    for _ in range(200):
+        divider.update(*(s * t for s, t in zip(divider.shares, unit_times)))
+    finish = [s * t for s, t in zip(divider.shares, unit_times)]
+    for name, share, t in zip(names, divider.shares, finish):
         print(f"   {name:5s}: {share:6.1%} of the work "
-              f"(finishes in {share * t:.3f} relative time)")
-    print(f"   finish-time imbalance: {divider.imbalance(unit_times):.2f}x "
+              f"(finishes in {t:.3f} relative time)")
+    print(f"   finish-time imbalance: {max(finish) / min(finish):.2f}x "
           f"(1.00 = perfect)")
 
     # The same algorithm on the full co-simulated platform: extra cards

@@ -15,11 +15,8 @@ simulated :class:`~repro.sim.platform.HeteroSystem`:
   CPU's and every card's time and reads the next :attr:`shares`.
 
 Tier 2 runs one WMA scaler, monitor and actuator per GPU card (§VI's
-"one pthread for one GPU"), as one loop over the cards.  Only tier 1
-depends on the card count, chosen at attach: one card keeps the paper's
-:class:`~repro.core.division.WorkloadDivider` (which the goldens pin),
-two or more use :class:`~repro.extensions.multigpu.MultiwayDivider`; the
-two are not bit-identical in the two-way case (docs/architecture.md).
+"one pthread for one GPU"), as one loop over the cards; tier 1 is one
+:class:`~repro.core.division.WorkloadDivider` over all of them.
 
 The two tiers are deliberately decoupled: division happens at iteration
 granularity (long), scaling at a short fixed period, so the WMA loop can
@@ -190,9 +187,7 @@ class GreenGpuController:
         self._initial_ratio = initial_ratio
         self._cards: tuple[_Card, ...] = ()
         self.governor: OndemandGovernor | None = None
-        # WorkloadDivider for one card, MultiwayDivider for more (attach).
-        self.divider = None
-        self._divide = None
+        self.divider: WorkloadDivider | None = None
         self._system: HeteroSystem | None = None
         self._cpustat: CpuStat | FaultyCpuStat | None = None
         self._tasks: list[TaskHandle] = []
@@ -263,21 +258,8 @@ class GreenGpuController:
             self.faults.bind(clock=system.clock, recorder=self.recorder,
                              telemetry=self.telemetry)
         if self.mode.division_enabled:
-            if n_cards == 1:
-                self.divider = WorkloadDivider(cfg, r0=self._initial_ratio)
-                self._divide = self.divider.update
-            else:
-                from repro.extensions.multigpu import MultiwayDivider
-
-                r0 = (cfg.initial_cpu_ratio if self._initial_ratio is None
-                      else self._initial_ratio)
-                self.divider = MultiwayDivider(
-                    ["cpu", *(f"gpu{i}" for i in range(n_cards))],
-                    step=cfg.division_step,
-                    initial_shares=[r0, *[(1.0 - r0) / n_cards] * n_cards],
-                    oscillation_safeguard=cfg.oscillation_safeguard,
-                )
-                self._divide = self.divider.update_times
+            self.divider = WorkloadDivider(cfg, r0=self._initial_ratio,
+                                           cards=n_cards)
         if self.mode.scaling_enabled:
             self._cards = tuple(self._make_card(i, gpu)
                                 for i, gpu in enumerate(system.gpus))
@@ -339,7 +321,6 @@ class GreenGpuController:
         self._cards = ()
         self.governor = None
         self.divider = None
-        self._divide = None
         self._last_cpu_sample = None
         self._consecutive_failures = 0
         self._degraded = False
@@ -713,7 +694,7 @@ class GreenGpuController:
         """Work shares ``(cpu, card 0, ...)``; without a divider the cards
         split what :attr:`ratio` leaves evenly."""
         if self.divider is not None:
-            return tuple(map(float, self.divider.shares))
+            return self.divider.shares
         r = self.ratio
         n_cards = len(self._system.gpus)
         return (r, *[(1.0 - r) / n_cards] * n_cards)
@@ -744,7 +725,7 @@ class GreenGpuController:
                 )
             return self.divider.r
         r_prev = self.divider.r
-        decision = self._divide(tc, tg, *tgs)
+        decision = self.divider.update(tc, tg, *tgs)
         r_next = self.divider.r
         if self._audit_on:
             self.audit.note_division(

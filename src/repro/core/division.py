@@ -29,6 +29,18 @@ example: at 10/90 with ``tc < tg`` the candidate is 15/85, and if
 Boundary behaviour: at ``r = 0`` the CPU has no work (``tc = 0``), linear
 extrapolation is undefined, and the safeguard is skipped — the divider
 simply probes one step toward the CPU when the GPU is the straggler.
+
+Several GPU cards
+-----------------
+The runtime launches "one pthread for one GPU" (§VI), and the same rule
+divides over any number of cards.  ``r`` is decided exactly as above
+against the GPU side's time, which is the slowest card's.  The cards
+split ``1 - r`` by per-card fractions that start uniform; at each
+boundary one ``division_step`` of fraction moves from the slowest card
+to the fastest, held by the same extrapolation when the move would flip
+the two cards' order.  A card whose fraction is zero reports no time and
+only receives.  With one card the fraction is exactly 1.0 and nothing
+else changes.
 """
 
 from __future__ import annotations
@@ -45,7 +57,11 @@ _MIN_SIGNAL_RATIO = 1e-9
 
 @dataclass(frozen=True, slots=True)
 class DivisionDecision:
-    """Outcome of one division update."""
+    """Outcome of one division update.
+
+    ``moved`` and ``held_by_safeguard`` cover the CPU share and, with
+    several cards, the card split; ``tg`` is the slowest card's time.
+    """
 
     r_next: float
     moved: bool
@@ -55,9 +71,11 @@ class DivisionDecision:
 
 
 class WorkloadDivider:
-    """Stateful tier-1 controller for the CPU work share ``r``."""
+    """Stateful tier-1 controller for the CPU work share ``r`` and the
+    split of ``1 - r`` over ``cards`` GPU cards."""
 
-    def __init__(self, config: GreenGpuConfig | None = None, r0: float | None = None):
+    def __init__(self, config: GreenGpuConfig | None = None, r0: float | None = None,
+                 cards: int = 1):
         self.config = config or GreenGpuConfig()
         r_init = self.config.initial_cpu_ratio if r0 is None else float(r0)
         if not self.config.min_cpu_ratio <= r_init <= self.config.max_cpu_ratio:
@@ -65,15 +83,18 @@ class WorkloadDivider:
                 f"initial ratio {r_init} outside "
                 f"[{self.config.min_cpu_ratio}, {self.config.max_cpu_ratio}]"
             )
+        if cards < 1:
+            raise PartitionError(f"need at least one GPU card, got {cards}")
         self.r = r_init
+        self.fractions = [1.0 / cards] * cards
         self.iterations = 0
         self.safeguard_holds = 0
         self.history: list[DivisionDecision] = []
 
     @property
-    def shares(self) -> tuple[float, float]:
-        """Current (cpu, gpu) work shares."""
-        return (self.r, 1.0 - self.r)
+    def shares(self) -> tuple[float, ...]:
+        """Current work shares ``(cpu, card 0, ...)``."""
+        return (self.r, *((1.0 - self.r) * q for q in self.fractions))
 
     def _candidate(self, tc: float, tg: float) -> float:
         cfg = self.config
@@ -109,9 +130,41 @@ class WorkloadDivider:
         tg_pred = ((1.0 - candidate) / (1.0 - r)) * tg
         return tg_pred > tc_pred
 
-    def update(self, tc: float, tg: float) -> DivisionDecision:
-        """Consume one iteration's (tc, tg) and decide the next division."""
-        if tc < 0.0 or tg < 0.0:
+    def _split(self, times: tuple[float, ...]) -> tuple[bool, bool]:
+        """Move one step of card fraction from the slowest card to the
+        fastest; returns ``(moved, held)``.
+
+        The cards' times scale with the same ``1 - r``, so the §V-B
+        extrapolation compares them on fractions alone.
+        """
+        q = self.fractions
+        # A card with no work only receives: its time counts as zero.
+        t = [times[i] if q[i] > _MIN_SIGNAL_RATIO else 0.0 for i in range(len(q))]
+        donor = max(range(len(q)), key=t.__getitem__)
+        receiver = min(range(len(q)), key=t.__getitem__)
+        if t[donor] == t[receiver]:
+            return False, False
+        step = min(self.config.division_step, q[donor])
+        if self.config.oscillation_safeguard and q[receiver] > _MIN_SIGNAL_RATIO:
+            donor_pred = ((q[donor] - step) / q[donor]) * t[donor]
+            receiver_pred = ((q[receiver] + step) / q[receiver]) * t[receiver]
+            if receiver_pred > donor_pred:
+                return False, True
+        q[donor] -= step
+        q[receiver] += step
+        return True, False
+
+    def update(self, tc: float, tg: float, *tgs: float) -> DivisionDecision:
+        """Consume one iteration's CPU time and every card's time (card 0
+        first) and decide the next division."""
+        if len(tgs) + 1 != len(self.fractions):
+            raise PartitionError(
+                f"expected {len(self.fractions)} card times, got {len(tgs) + 1}"
+            )
+        times = (tg, *tgs)
+        if tgs:
+            tg = max(times)
+        if tc < 0.0 or min(times) < 0.0:
             raise PartitionError("execution times must be non-negative")
         self.iterations += 1
         candidate = self._candidate(tc, tg)
@@ -123,6 +176,11 @@ class WorkloadDivider:
                 self.safeguard_holds += 1
         moved = candidate != self.r
         self.r = candidate
+        if tgs:
+            split_moved, split_held = self._split(times)
+            moved = moved or split_moved
+            held = held or split_held
+            self.safeguard_holds += split_held
         decision = DivisionDecision(
             r_next=self.r, moved=moved, held_by_safeguard=held, tc=tc, tg=tg
         )

@@ -16,22 +16,22 @@ against the published design:
 - :mod:`repro.extensions.async_comm` — *measured* CPU+GPU scaling with
   asynchronous host-device communication, replacing the paper's Fig. 6c
   emulation (their benchmarks spin the CPU, defeating ondemand).
-- :mod:`repro.extensions.multigpu` — N-way workload division ("one
-  pthread for one GPU", §VI) generalizing the two-way tier-1 algorithm;
-  the controller runs it on a testbed with more than one GPU card
-  (``TestbedConfig.extra_gpus``).
 - :mod:`repro.extensions.coupled` — the coupled-tier alternative the
   paper rejects in §IV, so the decoupling argument can be tested.
 - :mod:`repro.extensions.tuner` — offline grid search over the hand-tuned
   alpha/beta/phi (the paper's stated future direction: "currently we
   derive alpha, beta, and phi from manual tuning ... which could be our
   future direction").
+
+Several GPU cards ("one pthread for one GPU", §VI) are not an extension
+module: ``TestbedConfig.extra_gpus`` adds cards to the one platform, and
+the core controller and :class:`~repro.core.division.WorkloadDivider`
+run any number of them.
 """
 
 from repro.extensions.hardware_table import QuantizedWeightTable, QuantizedWmaScaler
 from repro.extensions.gpu_dvfs import dvfs_gpu_spec, dvfs_savings_comparison
 from repro.extensions.async_comm import measured_async_savings
-from repro.extensions.multigpu import DeviceTiming, MultiwayDivider
 from repro.extensions.coupled import CoupledController, compare_coupling
 from repro.extensions.tuner import TuningResult, grid_search_wma_params
 
@@ -41,8 +41,6 @@ __all__ = [
     "dvfs_gpu_spec",
     "dvfs_savings_comparison",
     "measured_async_savings",
-    "MultiwayDivider",
-    "DeviceTiming",
     "CoupledController",
     "compare_coupling",
     "grid_search_wma_params",

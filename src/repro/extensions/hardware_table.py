@@ -92,22 +92,27 @@ class HardwareEntry:
 
 def wall_power_bound_w(config: TestbedConfig, core_level: int,
                        mem_level: int) -> float:
-    """Worst-case node wall draw with the GPU held at a ladder pair.
+    """Worst-case node wall draw with every card held at a ladder pair.
 
     Upper bound used to translate a power cap into a frequency-ladder
-    ceiling: GPU fully busy at ``(core_level, mem_level)``, CPU fully
-    busy at its peak P-state, both meters' overheads and conversion
-    losses included.  Every term in the power models is monotone in
-    utilization and frequency, so capping the ladder at a pair whose
-    bound fits the cap guarantees the measured wall power fits too.
+    ceiling: every GPU card fully busy at ``(core_level, mem_level)``,
+    clipped into that card's ladders as the controller clips its
+    ceiling, the CPU fully busy at its peak P-state, every meter's
+    overhead and conversion loss included.  Every term in the power
+    models is monotone in utilization and frequency, so capping the
+    ladder at a pair whose bound fits the cap guarantees the measured
+    wall power fits too.
     """
-    gpu, cpu = config.gpu, config.cpu
-    fc = gpu.core_ladder[core_level] / gpu.core_ladder.peak
-    fm = gpu.mem_ladder[mem_level] / gpu.mem_ladder.peak
-    gpu_w = gpu.power.power_unchecked(fc, fm, 1.0, 1.0)
-    cpu_w = cpu.power.power_unchecked(1.0, 1.0)
-    return ((gpu_w + config.meter2_overhead_w) / config.meter2_efficiency
-            + (cpu_w + config.meter1_overhead_w) / config.meter1_efficiency)
+    cards_w = 0.0
+    for gpu in (config.gpu, *config.extra_gpus):
+        ci = min(core_level, len(gpu.core_ladder) - 1)
+        cj = min(mem_level, len(gpu.mem_ladder) - 1)
+        fc = gpu.core_ladder[ci] / gpu.core_ladder.peak
+        fm = gpu.mem_ladder[cj] / gpu.mem_ladder.peak
+        gpu_w = gpu.power.power_unchecked(fc, fm, 1.0, 1.0)
+        cards_w += (gpu_w + config.meter2_overhead_w) / config.meter2_efficiency
+    cpu_w = config.cpu.power.power_unchecked(1.0, 1.0)
+    return cards_w + (cpu_w + config.meter1_overhead_w) / config.meter1_efficiency
 
 
 def peak_wall_power_w(config: TestbedConfig) -> float:
@@ -116,13 +121,14 @@ def peak_wall_power_w(config: TestbedConfig) -> float:
 
 
 def floor_wall_power_w(config: TestbedConfig) -> float:
-    """Worst-case wall draw with the GPU pinned to its ladder floors.
+    """Worst-case wall draw with every card pinned to its ladder floors.
 
     This is the least power a cap can usefully demand of a node: below
     it, no frequency ceiling can honour the cap while the node works.
     """
-    return wall_power_bound_w(config, len(config.gpu.core_ladder) - 1,
-                              len(config.gpu.mem_ladder) - 1)
+    gpus = (config.gpu, *config.extra_gpus)
+    return wall_power_bound_w(config, max(len(g.core_ladder) for g in gpus) - 1,
+                              max(len(g.mem_ladder) for g in gpus) - 1)
 
 
 def _paper_testbed() -> TestbedConfig:

@@ -1,7 +1,7 @@
 """Fault injection and hardening primitives.
 
 The robustness layer of the reproduction: seeded fault plans
-(:mod:`~repro.faults.injector`), faulty monitor/actuator/meter wrappers
+(:mod:`~repro.faults.injector`), faulty monitor/actuator wrappers
 (:mod:`~repro.faults.wrappers`), bounded retry with capped backoff
 (:mod:`~repro.faults.retry`) and the controller health record
 (:mod:`~repro.faults.health`).
@@ -23,7 +23,6 @@ from repro.faults.wrappers import (
     FaultyCpuStat,
     FaultyGpuActuator,
     FaultyNvidiaSmi,
-    LossyPowerMeter,
 )
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "FaultyCpuStat",
     "FaultyGpuActuator",
     "FaultyNvidiaSmi",
-    "LossyPowerMeter",
     "RetryPolicy",
     "call_with_retry",
     "fault_profile",

@@ -1,10 +1,9 @@
 """Deterministic, seeded fault injection for the simulated testbed.
 
 The paper's daemon ran against 2012-era hardware where ``nvidia-smi``
-reads stall, ``nvidia-settings`` writes get silently rejected, thermal
-events pin the clocks, and the WattsUp meters drop 1 Hz samples.  The
-simulated testbed is perfect by construction, so this module recreates
-those failure modes *on purpose*:
+reads stall, ``nvidia-settings`` writes get silently rejected and thermal
+events pin the clocks.  The simulated testbed is perfect by construction,
+so this module recreates those failure modes *on purpose*:
 
 - a :class:`FaultPlan` declares per-decision-point fault rates (and,
   optionally, trace-driven device-stall episodes at fixed times);
@@ -21,7 +20,7 @@ those failure modes *on purpose*:
 
 The injector itself never touches a device; the wrappers in
 :mod:`repro.faults.wrappers` consult it at each monitor query /
-frequency write / meter sample and act on its verdicts.
+frequency write and act on its verdicts.
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ FAULT_KIND_RATES: dict[str, str] = {
     "actuator_ignore": "actuator_ignore_rate",
     "actuator_offby": "actuator_offby_rate",
     "device_stall": "device_stall_rate",
-    "meter_sample_loss": "meter_loss_rate",
 }
 
 
@@ -55,11 +53,11 @@ class FaultPlan:
     """Declarative description of the faults to inject into one run.
 
     All ``*_rate`` fields are per-decision-point probabilities in
-    [0, 1]: each monitor query, frequency write or meter sample consumes
-    one draw per applicable kind.  ``stall_episodes`` adds trace-driven
+    [0, 1]: each monitor query or frequency write consumes one draw per
+    applicable kind.  ``stall_episodes`` adds trace-driven
     thermal-throttle episodes ``(start_s, duration_s)`` on top of the
-    rate-driven ones; during an episode the GPU clocks are pinned to
-    their floors and frequency writes are ignored.
+    rate-driven ones; during an episode every card's clocks are pinned
+    to their floors and frequency writes are ignored.
     """
 
     seed: int = 0
@@ -71,7 +69,6 @@ class FaultPlan:
     actuator_offby_rate: float = 0.0
     device_stall_rate: float = 0.0
     device_stall_duration_s: float = 5.0
-    meter_loss_rate: float = 0.0
     stall_episodes: tuple[tuple[float, float], ...] = ()
 
     def __post_init__(self) -> None:
@@ -125,7 +122,6 @@ FAULT_PROFILES: dict[str, dict[str, float]] = {
         monitor_freeze_rate=0.01,
         actuator_reject_rate=0.02,
         actuator_ignore_rate=0.01,
-        meter_loss_rate=0.02,
     ),
     "moderate": dict(
         monitor_timeout_rate=0.05,
@@ -135,7 +131,6 @@ FAULT_PROFILES: dict[str, dict[str, float]] = {
         actuator_ignore_rate=0.03,
         actuator_offby_rate=0.02,
         device_stall_rate=0.005,
-        meter_loss_rate=0.05,
     ),
     "heavy": dict(
         monitor_timeout_rate=0.12,
@@ -145,7 +140,6 @@ FAULT_PROFILES: dict[str, dict[str, float]] = {
         actuator_ignore_rate=0.08,
         actuator_offby_rate=0.05,
         device_stall_rate=0.01,
-        meter_loss_rate=0.10,
     ),
 }
 
@@ -175,7 +169,7 @@ class FaultInjector:
         self._rng = np.random.default_rng(plan.seed)
         self._clock = None
         self._recorder = None
-        self._actuator = None
+        self._actuators: list = []
         self._telemetry = NOOP
         # Injection tallies must survive a disabled telemetry backend, so
         # they fall back to a private registry (same single-definition
@@ -221,13 +215,14 @@ class FaultInjector:
         return counter
 
     def attach_actuator(self, actuator) -> None:
-        """Register the faulty GPU actuator (target of stall episodes)."""
-        self._actuator = actuator
+        """Register one card's faulty GPU actuator (stall episodes pin
+        every registered card)."""
+        self._actuators.append(actuator)
 
     def _begin_scheduled_stall(self, t: float, duration: float) -> None:
-        if self._actuator is not None:
+        for actuator in self._actuators:
             self.record("device_stall")
-            self._actuator.begin_stall(duration)
+            actuator.begin_stall(duration)
 
     @property
     def now(self) -> float:

@@ -1,4 +1,4 @@
-"""Fault-injecting wrappers for monitors, the GPU actuator and the meters.
+"""Fault-injecting wrappers for the monitors and the GPU actuator.
 
 Each wrapper mirrors the :class:`~repro.monitors.noise.NoisyNvidiaSmi`
 pattern: it wraps the clean component, consults the shared
@@ -24,22 +24,16 @@ Fault semantics, matched to how the real tools fail:
 - **off-by-one write** — the clocks land one ladder level below the
   request;
 - **thermal-throttle episode** — the device pins both domains to their
-  floor frequencies and ignores writes for the episode's duration;
-- **meter sample loss** — a 1 Hz WattsUp log entry disappears (the
-  exact energy integral is unaffected — sample loss corrupts the *log*,
-  not physics).
+  floor frequencies and ignores writes for the episode's duration.
 """
 
 from __future__ import annotations
-
-from collections.abc import Callable
 
 from repro.errors import ActuationError, MonitorError
 from repro.faults.injector import FaultInjector
 from repro.monitors.cpustat import CpuStat, CpuUtilizationSample
 from repro.monitors.nvsmi import GpuUtilizationSample, NvidiaSmi
 from repro.sim.gpu import GpuDevice
-from repro.sim.meter import PowerMeter
 
 
 class FaultyNvidiaSmi:
@@ -143,41 +137,3 @@ class FaultyGpuActuator:
             return
         self._gpu.set_frequencies(f_core, f_mem)
 
-
-class LossyPowerMeter(PowerMeter):
-    """WattsUp-style meter whose 1 Hz sample log drops entries.
-
-    The continuous energy integral is the simulation's ground truth and
-    is never touched; only the discrete ``samples`` log loses entries,
-    mirroring the real instrument's serial-link hiccups.
-    """
-
-    def __init__(
-        self,
-        name: str,
-        sources: list[Callable[[], float]],
-        injector: FaultInjector,
-        overhead_w: float = 0.0,
-        efficiency: float = 1.0,
-        sample_period_s: float = 1.0,
-    ):
-        super().__init__(
-            name,
-            sources,
-            overhead_w=overhead_w,
-            efficiency=efficiency,
-            sample_period_s=sample_period_s,
-        )
-        self._injector = injector
-        self.dropped_samples = 0
-
-    def accumulate(self, dt: float) -> None:
-        before = len(self.samples)
-        super().accumulate(dt)
-        kept = []
-        for sample in self.samples[before:]:
-            if self._injector.fire("meter_sample_loss"):
-                self.dropped_samples += 1
-            else:
-                kept.append(sample)
-        self.samples[before:] = kept

@@ -69,10 +69,11 @@ def _diagonal_bounds(
 ) -> tuple[tuple[tuple[int, int], float], ...]:
     """Each ladder-diagonal pair, peak first, with its wall-power bound.
 
-    The last pair is the ladder floors.
+    The last pair is every card's ladder floors.
     """
-    n_core = len(config.gpu.core_ladder)
-    n_mem = len(config.gpu.mem_ladder)
+    gpus = (config.gpu, *config.extra_gpus)
+    n_core = max(len(gpu.core_ladder) for gpu in gpus)
+    n_mem = max(len(gpu.mem_ladder) for gpu in gpus)
     pairs = [(min(k, n_core - 1), min(k, n_mem - 1))
              for k in range(max(n_core, n_mem))]
     return tuple((pair, wall_power_bound_w(config, *pair)) for pair in pairs)

@@ -1,6 +1,8 @@
 """Tests for the tier-1 workload-division algorithm."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.config import GreenGpuConfig
 from repro.core.division import WorkloadDivider
@@ -146,3 +148,77 @@ class TestConvergence:
         d.update(2.0, 1.0)
         assert len(d.history) == 2
         assert d.iterations == 2
+
+
+class TestCards:
+    """One divider for any number of GPU cards (§VI): ``r`` against the
+    slowest card, and one step of card fraction from the slowest card to
+    the fastest."""
+
+    def test_slowest_card_donates_to_fastest(self):
+        d = WorkloadDivider(GreenGpuConfig(division_step=0.1), r0=0.4, cards=3)
+        decision = d.update(4.0, 2.0, 4.0, 1.0)
+        assert decision.tg == 4.0 and decision.moved
+        assert d.r == 0.4  # the CPU matches the slowest card: held
+        assert d.fractions == pytest.approx([1 / 3, 1 / 3 - 0.1, 1 / 3 + 0.1])
+
+    def test_safeguard_holds_a_move_that_flips_the_order(self):
+        # Fractions 0.5/0.5 at 1.0 and 0.9 s: moving 0.05 predicts
+        # 0.9 s for the donor and 0.99 s for the receiver.
+        d = WorkloadDivider(r0=0.3, cards=2)
+        decision = d.update(1.0, 1.0, 0.9)
+        assert decision.held_by_safeguard and not decision.moved
+        assert d.fractions == [0.5, 0.5]
+        assert d.safeguard_holds == 1
+
+    def test_safeguard_off_moves_anyway(self):
+        d = WorkloadDivider(GreenGpuConfig(oscillation_safeguard=False),
+                            r0=0.3, cards=2)
+        d.update(1.0, 1.0, 0.9)
+        assert d.fractions == pytest.approx([0.45, 0.55])
+
+    def test_zero_share_card_only_receives(self):
+        cfg = GreenGpuConfig(division_step=0.5, oscillation_safeguard=False)
+        d = WorkloadDivider(cfg, r0=0.3, cards=2)
+        d.update(1.0, 2.0, 1.0)
+        assert d.fractions == [0.0, 1.0]
+        # Card 0 has no work: whatever time it reports counts as zero, so
+        # it is the receiver and never the donor.
+        d.update(1.0, 4.0, 3.0)
+        assert d.fractions == [0.5, 0.5]
+        assert min(d.shares) >= 0.0
+
+    @pytest.mark.parametrize("cards, times", [(1, (1.0,)), (2, ()),
+                                              (3, ()), (3, (1.0, 1.0, 1.0))])
+    def test_wrong_number_of_card_times_raises(self, cards, times):
+        d = WorkloadDivider(cards=cards)
+        with pytest.raises(PartitionError):
+            d.update(1.0, 1.0, *times)
+        assert d.iterations == 0
+
+    def test_cpu_share_respects_max_cpu_ratio(self):
+        d = WorkloadDivider(r0=0.9, cards=2)
+        for _ in range(5):
+            d.update(0.0, 10.0, 20.0)
+        assert d.r == d.config.max_cpu_ratio == 0.95
+
+    @given(
+        cards=st.integers(1, 4),
+        r0=st.floats(0.0, 0.95),
+        step=st.floats(0.01, 0.5),
+        safeguard=st.booleans(),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_shares_stay_on_the_simplex(self, cards, r0, step, safeguard, data):
+        cfg = GreenGpuConfig(division_step=step, oscillation_safeguard=safeguard)
+        d = WorkloadDivider(cfg, r0=r0, cards=cards)
+        times = st.floats(0.0, 100.0)
+        for _ in range(data.draw(st.integers(1, 20))):
+            d.update(*(data.draw(times) for _ in range(cards + 1)))
+            shares = d.shares
+            assert abs(sum(shares) - 1.0) <= 1e-12
+            assert min(shares) >= 0.0
+            assert cfg.min_cpu_ratio <= shares[0] <= cfg.max_cpu_ratio
+            if cards == 1:
+                assert shares == (d.r, 1.0 - d.r)

@@ -145,6 +145,39 @@ class TestHardwareCatalog:
             config = entry.make_config()
             assert 0.0 < floor_wall_power_w(config) < peak_wall_power_w(config)
 
+    def test_wall_power_bounds_count_every_card(self):
+        import dataclasses
+
+        from repro.extensions.hardware_table import (
+            floor_wall_power_w,
+            peak_wall_power_w,
+            wall_power_bound_w,
+        )
+        from repro.sim.calibration import (
+            default_testbed_config,
+            geforce_8800_gtx_spec,
+        )
+        from repro.sim.frequency import FrequencyLadder
+
+        one = default_testbed_config()
+        card = geforce_8800_gtx_spec()
+        two = dataclasses.replace(one, extra_gpus=(card,))
+        assert peak_wall_power_w(one) == pytest.approx(338.62, abs=0.005)
+        supply_w = ((card.power.power_unchecked(1.0, 1.0, 1.0, 1.0)
+                     + one.meter2_overhead_w) / one.meter2_efficiency)
+        assert peak_wall_power_w(two) == pytest.approx(
+            peak_wall_power_w(one) + supply_w)
+        assert floor_wall_power_w(one) < floor_wall_power_w(two)
+        assert floor_wall_power_w(two) < peak_wall_power_w(two)
+        # A card with a shorter ladder is clipped to its own floor, as the
+        # controller clips its ceiling.
+        short = dataclasses.replace(card, core_ladder=FrequencyLadder(
+            [card.core_ladder.peak, card.core_ladder.floor]))
+        mixed = dataclasses.replace(one, extra_gpus=(short,))
+        assert wall_power_bound_w(mixed, 5, 0) == pytest.approx(
+            wall_power_bound_w(mixed, 1, 0) + wall_power_bound_w(one, 5, 0)
+            - wall_power_bound_w(one, 1, 0))
+
     def test_entry_lookup(self):
         from repro.extensions.hardware_table import hardware_entry, hardware_keys
 

@@ -2,10 +2,11 @@
 
 Every run here goes through the one platform, controller and executor:
 ``TestbedConfig.extra_gpus`` adds the cards, the controller runs one WMA
-scaler per card plus the N-way divider, and the executor submits and
-times each card's share.  Runs that need the final per-card shares hold
-their controller and drive :class:`HeteroExecutor` directly, because
-:func:`simulate` detaches (and so resets) the controller it builds.
+scaler per card plus one divider over every card, and the executor
+submits and times each card's share.  Runs that need the final per-card
+shares hold their controller and drive :class:`HeteroExecutor` directly,
+because :func:`simulate` detaches (and so resets) the controller it
+builds.
 """
 
 import dataclasses
@@ -13,9 +14,10 @@ import dataclasses
 import pytest
 
 from repro.core.config import GreenGpuConfig
-from repro.core.controller import GreenGpuController
+from repro.core.controller import GreenGpuController, TierMode
 from repro.core.policies import GreenGpuPolicy
 from repro.errors import ConfigError, SimulationError
+from repro.faults.injector import FaultInjector, FaultPlan
 from repro.runtime.executor import ExecutorOptions, HeteroExecutor, simulate
 from repro.sim.calibration import default_testbed_config, geforce_8800_gtx_spec
 from repro.sim.platform import HeteroSystem
@@ -191,6 +193,24 @@ class TestControllerIntegration:
         for gpu in system.gpus:
             assert gpu.f_core == gpu.spec.core_ladder[2]
             assert gpu.f_mem == gpu.spec.mem_ladder[2]
+        controller.detach()
+
+    def test_stall_episode_pins_every_card(self):
+        """A trace-driven stall episode pins each card's clocks, with one
+        ``device_stall`` record per card.  The paper's 3 s scaling period
+        keeps the WMA loop from moving any clock before the check."""
+        system = _system()
+        for gpu in system.gpus:
+            gpu.set_peak()
+        faults = FaultInjector(FaultPlan(stall_episodes=((1.0, 5.0),)))
+        controller = GreenGpuController(TierMode.SCALING_ONLY, GreenGpuConfig(),
+                                        faults=faults)
+        controller.attach(system)
+        system.run_for(2.0)
+        for gpu in system.gpus:
+            assert gpu.f_core == gpu.spec.core_ladder.floor
+            assert gpu.f_mem == gpu.spec.mem_ladder.floor
+        assert faults.counts == {"device_stall": 2}
         controller.detach()
 
 

@@ -1,4 +1,4 @@
-"""Tests for the fault-injecting monitor / actuator / meter wrappers."""
+"""Tests for the fault-injecting monitor / actuator wrappers."""
 
 import pytest
 
@@ -8,7 +8,6 @@ from repro.faults.wrappers import (
     FaultyCpuStat,
     FaultyGpuActuator,
     FaultyNvidiaSmi,
-    LossyPowerMeter,
 )
 from repro.monitors.cpustat import CpuStat
 from repro.monitors.nvsmi import NvidiaSmi
@@ -170,28 +169,3 @@ class TestFaultyGpuActuator:
         assert not act.stalled
         act.set_frequencies(*self.peak(gpu))  # recovered: write lands
         assert gpu.f_core == gpu.spec.core_ladder.peak
-
-
-class TestLossyPowerMeter:
-    def make(self, rate, seed=0):
-        injector = FaultInjector(FaultPlan(seed=seed, meter_loss_rate=rate))
-        return LossyPowerMeter("wall", [lambda: 100.0], injector)
-
-    def test_zero_rate_keeps_every_sample(self):
-        meter = self.make(0.0)
-        meter.accumulate(10.0)
-        assert len(meter.samples) == 10
-        assert meter.dropped_samples == 0
-
-    def test_loss_drops_log_entries_not_energy(self):
-        meter = self.make(1.0)
-        meter.accumulate(10.0)
-        assert meter.samples == []
-        assert meter.dropped_samples == 10
-        assert meter.energy_j == pytest.approx(1000.0)  # integral untouched
-
-    def test_partial_loss_accounts_for_every_sample(self):
-        meter = self.make(0.4, seed=3)
-        meter.accumulate(50.0)
-        assert len(meter.samples) + meter.dropped_samples == 50
-        assert 0 < meter.dropped_samples < 50

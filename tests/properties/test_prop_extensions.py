@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.config import GreenGpuConfig
+from repro.core.division import WorkloadDivider
 from repro.extensions.hardware_table import QuantizedWeightTable
-from repro.extensions.multigpu import DeviceTiming, MultiwayDivider
 from repro.workloads.trace_replay import TraceSample, compress, project_feasible
 from repro.sim.perf import RooflineModel
 
@@ -54,6 +55,8 @@ class TestQuantizedTableProperties:
 
 
 class TestMultiwayProperties:
+    """The core divider over 2-5 cards (CPU plus 1-4 cards)."""
+
     @given(
         n_devices=st.integers(2, 5),
         step=st.floats(0.01, 0.2),
@@ -61,17 +64,14 @@ class TestMultiwayProperties:
     )
     @settings(max_examples=50, deadline=None)
     def test_shares_stay_on_simplex(self, n_devices, step, data):
-        names = [f"d{i}" for i in range(n_devices)]
-        divider = MultiwayDivider(names, step=step)
+        divider = WorkloadDivider(GreenGpuConfig(division_step=step),
+                                  cards=n_devices - 1)
         for _ in range(data.draw(st.integers(1, 20))):
-            timings = [
-                DeviceTiming(name, data.draw(st.floats(0.0, 100.0)))
-                for name in names
-            ]
-            divider.update(timings)
+            divider.update(*(data.draw(st.floats(0.0, 100.0))
+                             for _ in range(n_devices)))
             shares = divider.shares
-            assert shares.sum() == pytest.approx(1.0)
-            assert np.all(shares >= -1e-12)
+            assert sum(shares) == pytest.approx(1.0)
+            assert min(shares) >= 0.0
 
     @given(
         n_devices=st.integers(2, 4),
@@ -79,13 +79,18 @@ class TestMultiwayProperties:
     )
     @settings(max_examples=40, deadline=None)
     def test_closed_loop_settles(self, n_devices, speeds):
-        names = [f"d{i}" for i in range(n_devices)]
         unit_times = [
             speeds.draw(st.floats(0.5, 10.0)) for _ in range(n_devices)
         ]
-        divider = MultiwayDivider(names, step=0.05)
-        settled = divider.drive(unit_times, iterations=60)
-        again = divider.drive(unit_times, iterations=10)
+        divider = WorkloadDivider(cards=n_devices - 1)
+
+        def drive(iterations):
+            for _ in range(iterations):
+                divider.update(*(s * u for s, u in zip(divider.shares, unit_times)))
+            return divider.shares
+
+        settled = drive(60)
+        again = drive(10)
         assert np.allclose(settled, again)
 
 
