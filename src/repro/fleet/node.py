@@ -106,7 +106,10 @@ class NodePowerProfile:
         gpu = config.gpu
         floor_speed = gpu.core_ladder.floor / gpu.core_ladder.peak
         headroom = max(peak_w - floor_w, 1e-9)
-        gained = gpu.peak_compute_rate * (1.0 - floor_speed)
+        # The headroom spans every card, so the throughput it buys does.
+        gained = sum(card.peak_compute_rate
+                     * (1.0 - card.core_ladder.floor / card.core_ladder.peak)
+                     for card in (gpu, *config.extra_gpus))
         return cls(floor_w=floor_w, peak_w=peak_w,
                    efficiency=gained / headroom, floor_speed=floor_speed)
 

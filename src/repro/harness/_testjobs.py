@@ -9,9 +9,14 @@ file, since each isolated attempt starts in a fresh process.
 
 from __future__ import annotations
 
+import contextlib
+import io
 import os
+import sys
 import time
 from typing import Any
+
+from repro.harness.worker import resolve_target
 
 
 def _bump_counter(state_path: str) -> int:
@@ -66,3 +71,13 @@ def traceparent_env() -> dict[str, Any]:
 
 def exit_now(code: int = 0) -> dict[str, Any]:
     os._exit(code)  # a bare worker exit: no artifact, no traceback
+
+
+def imports_of(target: str, kwargs: dict[str, Any]) -> dict[str, Any]:
+    """Run ``target`` (its output swallowed); list the ``repro`` modules
+    it imported that this process had not loaded."""
+    before = set(sys.modules)
+    with contextlib.redirect_stdout(io.StringIO()):
+        resolve_target(target)(**kwargs)
+    return {"imported": sorted(name for name in set(sys.modules) - before
+                               if name.partition(".")[0] == "repro")}

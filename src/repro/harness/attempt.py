@@ -9,16 +9,26 @@ Outcome kinds: ``success``, ``job_error`` (the job raised: the worker's
 job's deadline).  Retries, breakers and journals stay with the callers.
 Waits block on process sentinels (:func:`wait_any`,
 :meth:`Attempt.wait_async`), never on a timer.
+
+Every worker forks from one forkserver, started with the first attempt.
+The server preloads :mod:`repro.harness.preload`: the worker, every job
+target's import graph, and one run of the parent's main module, whose
+name or path the server reads from :data:`MAIN_ENV` and removes before
+its first fork.  So an attempt costs a fork and its job, and the forked
+worker runs no module body.
 """
 
 from __future__ import annotations
 
 import asyncio
 import contextlib
+import json
 import multiprocessing
 import os
+import threading
 import time
 from dataclasses import dataclass
+from multiprocessing import forkserver, spawn
 from multiprocessing.connection import wait as wait_fds
 from typing import Any, Iterable, Sequence
 
@@ -35,11 +45,40 @@ EXPIRED = "expired"
 #: "No precomputed payload" for :func:`run_inline` (payloads may be falsy).
 NO_PAYLOAD = object()
 
-#: Attempts fork from one server that preloads the worker and simulator: a
-#: fork, not an interpreter start.  The server starts with the first one.
 _CONTEXT = multiprocessing.get_context("forkserver")
-_CONTEXT.set_forkserver_preload(["repro.harness.worker",
-                                 "repro.runtime.executor"])
+_CONTEXT.set_forkserver_preload(["repro.harness.preload"])
+#: Hands a starting forkserver the data to run the parent's main module.
+MAIN_ENV = "GREENGPU_FORKSERVER_MAIN"
+_MAIN_KEYS = ("init_main_from_name", "init_main_from_path")
+_PREPARE_KEYS = ("sys_path", "sys_argv", *_MAIN_KEYS)
+_START_LOCK = threading.Lock()
+
+
+def _parent_main() -> str | None:
+    """The part of the preparation data each child gets that says how to
+    run this process's main module, as JSON; None without one.  Read at
+    each start: under ``python -m`` the main module's ``__spec__`` is
+    still unset while :mod:`repro` imports."""
+    data = spawn.get_preparation_data("attempt")
+    if not any(key in data for key in _MAIN_KEYS):
+        return None
+    return json.dumps({key: data[key] for key in _PREPARE_KEYS
+                       if key in data})
+
+
+def _ensure_server() -> None:
+    """Start the forkserver unless it runs; a starting server inherits
+    :data:`MAIN_ENV` for this process's main module, or no such variable."""
+    main = _parent_main()
+    with _START_LOCK:
+        if main is None:
+            os.environ.pop(MAIN_ENV, None)
+        else:
+            os.environ[MAIN_ENV] = main
+        try:
+            forkserver.ensure_running()
+        finally:
+            os.environ.pop(MAIN_ENV, None)
 
 
 @dataclass(frozen=True)
@@ -99,6 +138,7 @@ class Attempt:
             args=(name, target, kwargs, artifact_path, error_path,
                   traceparent),
         )
+        _ensure_server()
         self.proc.start()
         self.artifact_path = artifact_path
         self.timeout_s = timeout_s

@@ -5,15 +5,34 @@ by dotted name from a spawned worker or a resumed run.  The per-artifact
 iteration counts and time-scale clamps here are *the* canonical values —
 :func:`repro.experiments.suite.run` calls the same targets in-process,
 so the supervised and inline paths produce bit-identical payloads.
+
+What the targets call is imported here, at module top, so the
+forkserver's preload of this module (:mod:`repro.harness.preload`)
+covers it.  The one exception is the paper-artifact modules: planners
+(``greengpu sweep``, the suite runner) import this module too, and a
+figure target imports its module on call; the preload names them.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Any, Callable
 
+# run_workload and make_testbed import these on call (import cycles).
+import repro.runtime.batch_executor  # noqa: F401
+import repro.sim.calibration  # noqa: F401
+from repro.baselines.static_division import sweep_divisions
+from repro.cache import job_key
+from repro.core.policies import BestPerformancePolicy, GreenGpuPolicy
 from repro.errors import ConfigError
+from repro.experiments.common import (scaled_config, scaled_options,
+                                      scaled_workload)
+from repro.faults.injector import fault_profile
 from repro.faults.retry import RetryPolicy
 from repro.harness.job import JobSpec
+from repro.runtime.executor import run_workload
+from repro.telemetry import AuditTrail, Telemetry, export_worker
+from repro.telemetry.merge import worker_dir
 
 # -- paper-suite artifact targets --------------------------------------
 
@@ -128,8 +147,6 @@ def suite_specs(
     ordered = [n for n in SUITE_ARTIFACTS if n in names]
     retry = retry or RetryPolicy(max_attempts=2, base_backoff_s=0.05,
                                  max_backoff_s=0.5)
-    from repro.cache import job_key
-
     specs = []
     for name in ordered:
         target = f"repro.harness.suite_jobs:run_{name}"
@@ -159,14 +176,9 @@ def run_sweep_point(workload: str, r: float, n_iterations: int,
     it a label domain of its own (the ``static-division-<r>`` policy
     name), so the supervisor-side merge is exact.
     """
-    from repro.baselines.static_division import sweep_divisions
-    from repro.experiments.common import scaled_options, scaled_workload
-
     telemetry = None
     audit = None
     if telemetry_dir is not None:
-        from repro.telemetry import AuditTrail, Telemetry
-
         telemetry = Telemetry()
         audit = AuditTrail()
     points = sweep_divisions(
@@ -176,9 +188,6 @@ def run_sweep_point(workload: str, r: float, n_iterations: int,
     )
     point = points[0]
     if telemetry is not None:
-        from repro.telemetry import export_worker
-        from repro.telemetry.merge import worker_dir
-
         export_worker(telemetry, telemetry_dir, f"r={r:.4f}")
         audit.write(worker_dir(telemetry_dir, f"r={r:.4f}"))
     return {"r": point.r, "energy_j": point.energy_j, "time_s": point.time_s}
@@ -188,8 +197,6 @@ def sweep_specs(workload: str, ratios: list[float], n_iterations: int,
                 time_scale: float, timeout_s: float | None = 600.0,
                 telemetry_dir: str | None = None,
                 ) -> list[JobSpec]:
-    from repro.cache import job_key
-
     common = {"workload": workload, "n_iterations": n_iterations,
               "time_scale": time_scale}
     if telemetry_dir is not None:
@@ -228,9 +235,6 @@ def sweep_prefetch(workload: str, n_iterations: int, time_scale: float):
     invisible to the run directory, resume, and the report.
     """
     def _prefetch(specs: list[JobSpec]) -> dict[str, Any]:
-        from repro.baselines.static_division import sweep_divisions
-        from repro.experiments.common import scaled_options, scaled_workload
-
         todo = [
             spec for spec in specs
             if spec.target == _SWEEP_TARGET
@@ -280,17 +284,6 @@ def run_artifact_module(name: str) -> dict[str, Any]:
 def run_chaos_pair(workload: str, time_scale: float, n_iterations: int,
                    seed: int, stall_s: float) -> dict[str, Any]:
     """GreenGPU under the moderate fault profile vs best-performance."""
-    from dataclasses import replace
-
-    from repro.core.policies import BestPerformancePolicy, GreenGpuPolicy
-    from repro.experiments.common import (
-        scaled_config,
-        scaled_options,
-        scaled_workload,
-    )
-    from repro.faults.injector import fault_profile
-    from repro.runtime.executor import run_workload
-
     plan = replace(fault_profile("moderate", seed=seed),
                    device_stall_duration_s=stall_s)
     wl = scaled_workload(workload, time_scale)

@@ -11,11 +11,25 @@ byte-identically.
 The payload is intentionally a *summary* (energies, time, health), not
 the full trace blob — it is what gets journaled, cached, and returned
 over HTTP to thousands of clients.
+
+Everything the target calls is imported here, at module top: the
+forkserver preloads this module (:mod:`repro.harness.preload`), so a
+forked worker imports nothing.
 """
 
 from __future__ import annotations
 
 from typing import Any
+
+# run_workload and make_testbed import these on call (import cycles).
+import repro.runtime.batch_executor  # noqa: F401
+import repro.sim.calibration  # noqa: F401
+from repro.core.policies import make_policy
+from repro.experiments.common import (scaled_config, scaled_options,
+                                      scaled_workload)
+from repro.runtime.executor import run_workload
+from repro.telemetry import Telemetry, export_worker
+from repro.telemetry.tracecontext import TraceContext
 
 
 def run_simulation(workload: str, policy: str, n_iterations: int,
@@ -35,16 +49,8 @@ def run_simulation(workload: str, policy: str, n_iterations: int,
     how a served job's worker spans stitch under the admitting HTTP
     request in the merged trace.
     """
-    from repro.core.policies import make_policy
-    from repro.experiments.common import (scaled_config, scaled_options,
-                                          scaled_workload)
-    from repro.runtime.executor import run_workload
-
     telemetry = None
     if telemetry_dir is not None:
-        from repro.telemetry import Telemetry
-        from repro.telemetry.tracecontext import TraceContext
-
         telemetry = Telemetry(base_labels={"workload": workload,
                                            "policy": policy},
                               trace=TraceContext.parse(traceparent))
@@ -57,8 +63,6 @@ def run_simulation(workload: str, policy: str, n_iterations: int,
         telemetry=telemetry,
     )
     if telemetry is not None and telemetry_dir is not None:
-        from repro.telemetry import export_worker
-
         export_worker(telemetry, telemetry_dir, job_name or "job")
     return {
         "workload": result.workload,

@@ -148,6 +148,8 @@ def parse_request(body: Any, config: ServiceConfig) -> JobRequest:
     workload = ALIASES.get(workload, workload)
 
     policy = body.get("policy", "greengpu")
+    if not isinstance(policy, str):
+        raise ServiceError("policy must be a string")
     if policy not in POLICY_FACTORIES:
         raise ServiceError(
             f"unknown policy {policy!r}; choose from {sorted(POLICY_FACTORIES)}"
@@ -164,9 +166,11 @@ def parse_request(body: Any, config: ServiceConfig) -> JobRequest:
             f"iterations must be an integer in [1, {config.max_iterations}]"
         )
 
+    # Compare before any float(): an integer too large for a float would
+    # raise OverflowError, and NaN fails every comparison.
     time_scale = body.get("time_scale", 0.05)
     if not isinstance(time_scale, (int, float)) or isinstance(time_scale, bool) \
-            or not 0.0 < float(time_scale) <= config.max_time_scale:
+            or not 0.0 < time_scale <= config.max_time_scale:
         raise ServiceError(
             f"time_scale must be in (0, {config.max_time_scale}]"
         )
@@ -175,9 +179,9 @@ def parse_request(body: Any, config: ServiceConfig) -> JobRequest:
     deadline_s = body.get("deadline_s")
     if deadline_s is not None:
         if not isinstance(deadline_s, (int, float)) or isinstance(deadline_s, bool) \
-                or float(deadline_s) <= 0.0:
+                or not deadline_s > 0.0:
             raise ServiceError("deadline_s must be a positive number")
-        deadline_s = min(float(deadline_s), config.max_deadline_s)
+        deadline_s = float(min(deadline_s, config.max_deadline_s))
 
     from repro.cache import job_key
 

@@ -127,11 +127,16 @@ class TraceContext:
 DEFAULT_ROOT = TraceContext.root("greengpu")
 
 
+#: Memo of :meth:`TraceContext.parse` on the raw header: the disabled
+#: telemetry facade asks for the ambient context on every call.
+_parse_header = lru_cache(maxsize=64)(TraceContext.parse)
+
+
 def context_from_env(environ: "os._Environ[str] | dict[str, str] | None" = None,
                      ) -> TraceContext | None:
     """Context propagated via :data:`TRACEPARENT_ENV`, if any."""
-    env = os.environ if environ is None else environ
-    return TraceContext.parse(env.get(TRACEPARENT_ENV))
+    header = (os.environ if environ is None else environ).get(TRACEPARENT_ENV)
+    return None if header is None else _parse_header(header)
 
 
 def default_context() -> TraceContext:

@@ -1,5 +1,7 @@
 """Node tests: watt->ladder translation, cap enforcement, power profile."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.errors import ConfigError
@@ -84,6 +86,14 @@ class TestNodePowerProfile:
         assert profile.peak_w == pytest.approx(peak_wall_power_w(config))
         assert 0.0 < profile.floor_speed < 1.0
         assert profile.efficiency > 0.0
+
+    def test_a_second_identical_card_is_no_less_efficient(self, config):
+        # Both cards add headroom, so both must add throughput.
+        one = NodePowerProfile.from_config(config)
+        two = NodePowerProfile.from_config(
+            replace(config, extra_gpus=(config.gpu,)))
+        assert two.peak_w > one.peak_w
+        assert two.efficiency >= one.efficiency
 
     def test_speed_interpolates_and_clamps(self, config):
         profile = NodePowerProfile.from_config(config)

@@ -85,6 +85,14 @@ class TestSubmitAndResult:
         assert status == 400
         assert "unknown workload" in body["error"]
 
+    @pytest.mark.parametrize("hostile", [{"policy": ["x"]},
+                                         {"deadline_s": float("nan")}],
+                             ids=["unhashable-policy", "nan-deadline"])
+    def test_hostile_body_is_typed_400(self, client, hostile):
+        status, body, _ = client.submit(**{**FAST_JOB, **hostile})
+        assert status == 400, body
+        assert next(iter(hostile)) in body["error"]
+
     def test_unknown_route_is_404_and_bad_method_405(self, client):
         assert client.request("GET", "/nope")[0] == 404
         assert client.request("PUT", "/jobs/job-000001")[0] == 405

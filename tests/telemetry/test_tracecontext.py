@@ -2,6 +2,7 @@
 
 import os
 
+from repro.telemetry.core import NOOP
 from repro.telemetry.tracecontext import (
     DEFAULT_ROOT,
     TRACEPARENT_ENV,
@@ -92,6 +93,25 @@ class TestPropagation:
             with propagation_env(inner):
                 assert context_from_env(os.environ).trace_id == inner.trace_id
             assert context_from_env(os.environ).trace_id == outer.trace_id
+
+    def test_disabled_facade_follows_the_env_and_keeps_its_bytes(
+            self, monkeypatch):
+        # The disabled daemon journals and returns these traceparents, so
+        # memoizing the env parse must change no byte of them.
+        monkeypatch.delenv(TRACEPARENT_ENV, raising=False)
+        unset = "00-0000000000000000388b0e6f4aa2eebc-c2832103dc44ba0f-01"
+        client = "00-0000000000000000f23b5f5135e6140d-186fd92a603462da-01"
+        under = "00-0000000000000000f23b5f5135e6140d-4a61e3351558976e-01"
+        for header, child in ((None, unset), (client, under), (None, unset),
+                              (client, under)):
+            if header is None:
+                monkeypatch.delenv(TRACEPARENT_ENV, raising=False)
+            else:
+                monkeypatch.setenv(TRACEPARENT_ENV, header)
+            assert NOOP.current_context() == (
+                DEFAULT_ROOT if header is None else TraceContext.parse(header))
+            assert NOOP.child_context("job", "job-000001").to_traceparent() \
+                == child
 
     def test_none_context_is_noop(self):
         with propagation_env(None):
