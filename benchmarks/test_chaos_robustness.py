@@ -70,7 +70,7 @@ def test_chaos_robustness(run_once, benchmark, tmp_path):
         payload = outcome.payload
         # The journaled artifact is what resume would reuse — it must
         # round-trip to the in-memory payload.
-        assert read_artifact(outcome.artifact_path) == payload
+        assert read_artifact(outcome.artifact_path)[0] == payload
 
         from repro.faults.health import ControlHealth
 

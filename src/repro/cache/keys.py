@@ -141,3 +141,19 @@ def job_key(target: str, kwargs: dict[str, Any]) -> str | None:
         return fingerprint(record)
     except ConfigError:
         return None
+
+
+#: What :func:`get_job` returns on a miss (a payload may be JSON null).
+MISS = object()
+
+
+def get_job(cache, key: str | None, default: Any = MISS) -> Any:
+    """The job payload stored under ``key``, or ``default`` on a miss."""
+    entry = None if cache is None or key is None else cache.get(key)
+    return default if entry is None else entry.get("payload", default)
+
+
+def put_job(cache, key: str | None, payload: Any) -> None:
+    """Store a job's payload under ``key`` (no cache or key: no-op)."""
+    if cache is not None and key is not None:
+        cache.put(key, {"payload": payload})

@@ -30,10 +30,12 @@ Subcommands:
   turns it into a CI regression gate;
 - ``report``       — render a run directory into a self-contained HTML
   report (inline-SVG timelines + WMA weight heatmap, no external deps);
+- ``serve``        — the simulation-as-a-service daemon over a run
+  directory; a restart on the same ``--run-dir`` recovers its jobs;
 - ``cache``        — inspect (``stats``) or empty (``clear``) the
-  content-addressed result cache that ``run``/``compare``/``sweep``
-  consult (disable per-invocation with ``--no-cache``, relocate with
-  ``--cache-dir``/``$GREENGPU_CACHE_DIR``).
+  content-addressed result cache that ``run``/``compare``/``sweep``/
+  ``fleet``/``serve`` consult (disable per-invocation with
+  ``--no-cache``, relocate with ``--cache-dir``/``$GREENGPU_CACHE_DIR``).
 
 ``run``, ``compare``, ``sweep`` and ``reproduce`` accept ``--telemetry
 DIR`` to record metrics, spans and events into ``DIR`` (see
@@ -603,9 +605,7 @@ def cmd_diff(args: argparse.Namespace) -> int:
 def cmd_cache(args: argparse.Namespace) -> int:
     import json as _json
 
-    from repro.cache import ResultCache, default_cache_dir
-
-    cache = ResultCache(args.cache_dir or default_cache_dir())
+    cache = _make_cache(args)
     if args.action == "stats":
         stats = cache.stats()
         if args.format == "json":
@@ -632,7 +632,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.run import serve_until_signalled
 
-    return asyncio.run(serve_until_signalled(args))
+    return asyncio.run(serve_until_signalled(args, _make_cache(args)))
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -809,18 +809,20 @@ def build_parser() -> argparse.ArgumentParser:
                         "per-shard entry counts / reclaimed bytes")
     p.set_defaults(func=cmd_cache)
 
-    p = sub.add_parser("serve",
-                       help="run the simulation-as-a-service daemon")
+    p = sub.add_parser(
+        "serve", help="run the simulation-as-a-service daemon",
+        description="Serve simulation jobs over HTTP until SIGTERM/SIGINT, "
+                    "then drain; a restart on the same --run-dir serves "
+                    "finished jobs from disk and re-queues the rest.")
     p.add_argument("--host", default="127.0.0.1")
     p.add_argument("--port", type=int, default=8100,
                    help="TCP port (0 binds an ephemeral port)")
     p.add_argument("--workers", type=int, default=2,
                    help="concurrent simulation worker processes")
     p.add_argument("--run-dir", default="runs/service", metavar="DIR",
-                   help="journal + artifact directory (resume point)")
-    p.add_argument("--cache-dir", default=None, metavar="DIR",
-                   help="result cache root (default: $GREENGPU_CACHE_DIR "
-                        "or ~/.cache/greengpu); 'off' disables caching")
+                   help="journal + artifact directory; a restart on the "
+                        "same directory recovers its jobs")
+    _add_cache(p)
     p.add_argument("--tenant-queue-limit", type=int, default=64)
     p.add_argument("--global-high-water", type=int, default=256)
     p.add_argument("--rate-per-tenant", type=float, default=50.0,
@@ -839,9 +841,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report",
                        help="self-contained HTML report for a run directory")
     p.add_argument("dir", help="directory written by a --telemetry run")
-    p.add_argument("--html", action="store_true",
-                   help="render HTML (the default — and currently only — "
-                        "format)")
     p.add_argument("--out", default=None, metavar="FILE",
                    help="output path (default: <dir>/report.html)")
     p.set_defaults(func=cmd_report)

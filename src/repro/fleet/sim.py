@@ -38,7 +38,7 @@ from repro.fleet.coordinator import CapPlan, PowerCapCoordinator
 from repro.fleet.scenario import FleetScenario
 from repro.fleet.shard import shard_name, simulate_nodes
 
-#: Default wall-clock kill deadline per shard job (generous: a shard is
+#: Wall-clock kill deadline per shard job (generous: a shard is
 #: hundreds of sequential node sims).
 _SHARD_TIMEOUT_S = 1800.0
 
@@ -159,7 +159,6 @@ class FleetSim:
         resume: bool = False,
         telemetry_dir: str | None = None,
         cache=None,
-        shard_timeout_s: float = _SHARD_TIMEOUT_S,
     ) -> None:
         if shards < 1:
             raise ConfigError("shards must be >= 1")
@@ -177,7 +176,6 @@ class FleetSim:
         self.resume = resume
         self.telemetry_dir = telemetry_dir
         self.cache = cache
-        self.shard_timeout_s = shard_timeout_s
         self._plan: CapPlan | None = None
         #: Harness report of the last sharded run (None for inline runs).
         self.last_report = None
@@ -220,7 +218,7 @@ class FleetSim:
                 name=shard_name(lo, hi),
                 target=target,
                 kwargs=kwargs,
-                timeout_s=self.shard_timeout_s,
+                timeout_s=_SHARD_TIMEOUT_S,
                 # A telemetry-exporting shard has filesystem side effects
                 # a cache hit would silently skip; only plain shards key.
                 cache_key=None if self.telemetry_dir is not None

@@ -10,18 +10,17 @@ harness' own failure modes — a hung experiment, a crashing worker, a
   that quarantines a repeatedly-failing job instead of sinking the run;
 - **process isolation** via forkserver :mod:`multiprocessing`
   workers, with optional parallel fan-out across independent jobs;
-- a **write-ahead journal** (``journal.jsonl``, one fsynced record per
-  state transition) and **atomic artifact writes**, so any interrupt
-  leaves a consistent on-disk state;
-- **resume**: replay the journal, skip jobs whose completed artifacts
-  verify by content hash, re-run only the rest.
+- a **run directory** (:class:`~repro.harness.journal.RunDir`): a
+  write-ahead journal and atomic artifact writes, so any interrupt leaves
+  a consistent on-disk state, and **resume**, which re-runs only the jobs
+  whose artifacts do not verify by content hash.
 
 See ``docs/architecture.md`` ("The supervised suite harness") for the
 job lifecycle state machine and the journal format.
 """
 
 from repro.harness.job import JobOutcome, JobSpec, JobState, validate_dag
-from repro.harness.journal import Journal, read_journal
+from repro.harness.journal import RunDir
 from repro.harness.supervisor import (
     HarnessReport,
     HarnessResult,
@@ -29,20 +28,18 @@ from repro.harness.supervisor import (
     run_jobs,
     stderr_progress,
 )
-from repro.harness.worker import read_artifact, resolve_target
+from repro.harness.worker import resolve_target
 
 __all__ = [
     "JobSpec",
     "JobState",
     "JobOutcome",
     "validate_dag",
-    "Journal",
-    "read_journal",
+    "RunDir",
     "HarnessReport",
     "HarnessResult",
     "ProgressEvent",
     "run_jobs",
     "stderr_progress",
-    "read_artifact",
     "resolve_target",
 ]

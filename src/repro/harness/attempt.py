@@ -12,10 +12,11 @@ Waits block on process sentinels (:func:`wait_any`,
 
 Every worker forks from one forkserver, started with the first attempt.
 The server preloads :mod:`repro.harness.preload`: the worker, every job
-target's import graph, and one run of the parent's main module, whose
-name or path the server reads from :data:`MAIN_ENV` and removes before
-its first fork.  So an attempt costs a fork and its job, and the forked
-worker runs no module body.
+target's import graph, and one run of the parent's main module.  It
+starts with a ``PYTHONPATH`` that leads to :mod:`repro` (a parent may
+reach it through a run-time ``sys.path`` edit), and restores the
+parent's own before its first fork (:data:`MAIN_ENV`).  So an attempt
+costs a fork and its job, and the forked worker runs no module body.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import contextlib
 import json
 import multiprocessing
 import os
+import site
 import threading
 import time
 from dataclasses import dataclass
@@ -32,9 +34,9 @@ from multiprocessing import forkserver, spawn
 from multiprocessing.connection import wait as wait_fds
 from typing import Any, Iterable, Sequence
 
+from repro.errors import SerializationError
 from repro.harness.worker import (read_artifact, run_job_inline,
                                   worker_main, write_artifact)
-from repro.ioutil import sha256_file
 
 SUCCESS = "success"
 JOB_ERROR = "job_error"
@@ -47,38 +49,51 @@ NO_PAYLOAD = object()
 
 _CONTEXT = multiprocessing.get_context("forkserver")
 _CONTEXT.set_forkserver_preload(["repro.harness.preload"])
-#: Hands a starting forkserver the data to run the parent's main module.
+#: Hands a starting forkserver, as JSON, the parent's ``PYTHONPATH``
+#: (None: unset) and the preparation data a spawned child would get.
 MAIN_ENV = "GREENGPU_FORKSERVER_MAIN"
-_MAIN_KEYS = ("init_main_from_name", "init_main_from_path")
-_PREPARE_KEYS = ("sys_path", "sys_argv", *_MAIN_KEYS)
+_PREPARE_KEYS = ("sys_path", "sys_argv", "init_main_from_name",
+                 "init_main_from_path")
 _START_LOCK = threading.Lock()
+#: Leads a starting server's ``PYTHONPATH``: the directory :mod:`repro` is
+#: imported from, unless it is a site directory, searched anyway.
+_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(__file__)))
+if _ROOT in (*site.getsitepackages(), site.getusersitepackages()):
+    _ROOT = ""
 
 
-def _parent_main() -> str | None:
-    """The part of the preparation data each child gets that says how to
-    run this process's main module, as JSON; None without one.  Read at
-    each start: under ``python -m`` the main module's ``__spec__`` is
-    still unset while :mod:`repro` imports."""
+def _preparation() -> dict[str, Any]:
+    """The part of the preparation data each child gets that sets its
+    ``sys.path`` and ``sys.argv`` and says how to run this process's main
+    module, if it has one.  Read at each start: under ``python -m`` the
+    main module's ``__spec__`` is still unset while :mod:`repro` imports."""
     data = spawn.get_preparation_data("attempt")
-    if not any(key in data for key in _MAIN_KEYS):
-        return None
-    return json.dumps({key: data[key] for key in _PREPARE_KEYS
-                       if key in data})
+    return {key: data[key] for key in _PREPARE_KEYS if key in data}
+
+
+def set_env(name: str, value: str | None) -> None:
+    """Set an environment variable, or unset it for None."""
+    if value is None:
+        os.environ.pop(name, None)
+    else:
+        os.environ[name] = value
 
 
 def _ensure_server() -> None:
-    """Start the forkserver unless it runs; a starting server inherits
-    :data:`MAIN_ENV` for this process's main module, or no such variable."""
-    main = _parent_main()
+    """Start the forkserver unless it runs.  A starting server inherits
+    :data:`MAIN_ENV` and a ``PYTHONPATH`` led by :data:`_ROOT`."""
+    prepare = _preparation()
     with _START_LOCK:
-        if main is None:
-            os.environ.pop(MAIN_ENV, None)
-        else:
-            os.environ[MAIN_ENV] = main
+        pythonpath = os.environ.get("PYTHONPATH")
+        os.environ[MAIN_ENV] = json.dumps({"pythonpath": pythonpath,
+                                           "prepare": prepare})
+        os.environ["PYTHONPATH"] = os.pathsep.join(
+            path for path in (_ROOT, pythonpath) if path)
         try:
             forkserver.ensure_running()
         finally:
             os.environ.pop(MAIN_ENV, None)
+            set_env("PYTHONPATH", pythonpath)
 
 
 @dataclass(frozen=True)
@@ -111,13 +126,13 @@ def run_inline(name: str, target: str, kwargs: dict[str, Any],
     started = time.monotonic()
     try:
         if payload is NO_PAYLOAD:
-            payload = run_job_inline(name, target, kwargs, artifact_path,
-                                     traceparent)
+            payload, sha256 = run_job_inline(name, target, kwargs,
+                                             artifact_path, traceparent)
         else:
-            write_artifact(artifact_path, name, target, payload)
+            sha256 = write_artifact(artifact_path, name, target, payload)
     except Exception as exc:  # noqa: BLE001 — the job's error, not ours
         return _failed(JOB_ERROR, f"{type(exc).__name__}: {exc}", started)
-    return AttemptOutcome(SUCCESS, payload, sha256_file(artifact_path),
+    return AttemptOutcome(SUCCESS, payload, sha256,
                           elapsed_s=time.monotonic() - started)
 
 
@@ -172,12 +187,11 @@ class Attempt:
         exitcode = self.proc.exitcode
         if exitcode == 0:
             try:
-                payload = read_artifact(self.artifact_path)
-            except Exception as exc:  # noqa: BLE001 — missing, torn, foreign
+                payload, sha256 = read_artifact(self.artifact_path)
+            except (OSError, SerializationError) as exc:  # missing, torn
                 return _failed(WORKER_FAILURE, f"unreadable artifact: {exc}",
                                self.started)
-            return AttemptOutcome(SUCCESS, payload,
-                                  sha256_file(self.artifact_path),
+            return AttemptOutcome(SUCCESS, payload, sha256,
                                   elapsed_s=time.monotonic() - self.started)
         error = _read_error_file(self.artifact_path + ".error")
         if error is not None:

@@ -112,7 +112,6 @@ class JobOutcome:
     error: str | None = None
     elapsed_s: float = 0.0
     artifact_path: str | None = None
-    artifact_sha256: str | None = None
 
 
 def validate_dag(specs: list[JobSpec]) -> list[JobSpec]:

@@ -8,7 +8,8 @@ preload, so only the server imports it.  Importing it
   except that :mod:`~repro.harness.suite_jobs` imports the paper-artifact
   modules on call, so that planning a sweep stays light; they are named
   here instead;
-- runs the parent's main module once as ``__mp_main__``, the way
+- restores the parent's ``PYTHONPATH``, takes its ``sys.path`` and
+  ``sys.argv`` and runs its main module once as ``__mp_main__``, the way
   :func:`multiprocessing.spawn.prepare` would in every child.  A forked
   child then finds ``__main__`` populated and skips the rerun.
 
@@ -24,23 +25,24 @@ import json
 import os
 from multiprocessing import process, spawn
 
+import repro.fleet.shard  # noqa: F401
 import repro.harness.suite_jobs  # noqa: F401
 import repro.harness.worker  # noqa: F401
 import repro.service.jobs  # noqa: F401
 import repro.sim.batch  # noqa: F401  (fig2 and fig7 batch their sweeps)
 from repro.experiments import (fig1, fig2, fig5, fig6, fig7,  # noqa: F401
                                fig8, headline, table2)
-from repro.harness.attempt import MAIN_ENV
+from repro.harness.attempt import MAIN_ENV, set_env
 
 
 if MAIN_ENV in os.environ:  # removed before the server's first fork
-    # A part of the preparation data each child gets: ``sys_path``,
-    # ``sys_argv`` and ``init_main_from_name`` or ``init_main_from_path``.
+    handover = json.loads(os.environ.pop(MAIN_ENV))
+    set_env("PYTHONPATH", handover["pythonpath"])
     # As the forkserver's own ``__main__`` preload does, mark the process
     # inheriting: a main module that starts processes at import fails
     # instead of recursing.
     process.current_process()._inheriting = True
     try:
-        spawn.prepare(json.loads(os.environ.pop(MAIN_ENV)))
+        spawn.prepare(handover["prepare"])
     finally:
         del process.current_process()._inheriting

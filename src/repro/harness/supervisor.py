@@ -1,11 +1,8 @@
 """The supervisor: timeouts, retries, quarantine, journal, resume.
 
-One :class:`Supervisor` drives one *run directory*::
-
-    <run-dir>/
-      journal.jsonl              write-ahead journal (fsynced per transition)
-      artifacts/<job>.json       atomically-written job results
-      artifacts/<job>.json.error last traceback of a failed worker attempt
+One :class:`Supervisor` drives one *run directory*, whose layout,
+success records and resume check :class:`repro.harness.journal.RunDir`
+owns (the service daemon persists through the same type).
 
 Jobs run in forkserver :mod:`multiprocessing` workers (a hung or
 crashing experiment is killed on its deadline without taking down the
@@ -18,8 +15,9 @@ Every state transition is journaled *before* the supervisor acts on it,
 and artifacts are written atomically by the worker, so a crash at any
 instant — including ``SIGKILL``, which no handler can see — leaves a
 run directory that ``resume=True`` can pick up: completed jobs whose
-artifact bytes still hash to the journaled SHA-256 are skipped, and
-only the rest re-run.  Resume never reads the ``.error`` sidecars.
+artifact bytes still hash to the journaled SHA-256 and parse are
+skipped, and only the rest re-run.  Resume never reads the ``.error``
+sidecars.
 """
 
 from __future__ import annotations
@@ -32,7 +30,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterator
 
-from repro.errors import SerializationError
+from repro.cache import MISS, get_job, put_job
 from repro.harness import attempt
 from repro.harness.job import (
     SATISFIED_STATES,
@@ -42,9 +40,7 @@ from repro.harness.job import (
     JobState,
     validate_dag,
 )
-from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
-from repro.harness.worker import read_artifact
-from repro.ioutil import sha256_file
+from repro.harness.journal import RunDir
 from repro.telemetry.tracecontext import TraceContext, default_context
 
 
@@ -159,8 +155,7 @@ class Supervisor:
         self.specs = validate_dag(list(specs))
         self.spec_order = [s.name for s in specs]  # declaration order
         self.by_name = {s.name: s for s in self.specs}
-        self.run_dir = os.fspath(run_dir)
-        self.artifact_dir = os.path.join(self.run_dir, "artifacts")
+        self.run_dir = RunDir(run_dir)
         self.parallel = max(1, int(parallel))
         self.resume = resume
         self.isolate = isolate
@@ -182,11 +177,6 @@ class Supervisor:
         # decorrelated-jitter policies desynchronize across jobs.
         self._backoffs: dict[str, Any] = {}
 
-    # -- paths ---------------------------------------------------------
-
-    def artifact_path(self, name: str) -> str:
-        return os.path.join(self.artifact_dir, f"{name}.json")
-
     # -- tracing -------------------------------------------------------
 
     def job_context(self, spec: JobSpec) -> TraceContext:
@@ -200,10 +190,7 @@ class Supervisor:
     # -- the run -------------------------------------------------------
 
     def run(self) -> HarnessResult:
-        os.makedirs(self.artifact_dir, exist_ok=True)
-        journal_path = os.path.join(self.run_dir, JOURNAL_NAME)
-        prior = (read_journal(journal_path)
-                 if self.resume and os.path.exists(journal_path) else [])
+        prior = self.run_dir.open(replay=self.resume)
 
         outcomes = self._outcomes = {s.name: JobOutcome(name=s.name)
                                      for s in self.specs}
@@ -211,15 +198,10 @@ class Supervisor:
         self._run_started = time.perf_counter()
         report = self._report = HarnessReport(jobs_total=len(self.specs))
 
-        with self._stop_on_signals(), Journal(journal_path) as journal:
-            self._journal = journal
-            journal.record(
-                "run_start",
-                jobs=[s.name for s in self.specs],
-                parallel=self.parallel,
-                resume=self.resume,
-                isolate=self.isolate,
-            )
+        with self._stop_on_signals(), contextlib.closing(self.run_dir):
+            self.run_dir.record("run_start", jobs=[s.name for s in self.specs],
+                                parallel=self.parallel, resume=self.resume,
+                                isolate=self.isolate)
             self._resume_pass(prior)
             self._cache_pass()
             self._prefetch_pass()
@@ -227,17 +209,13 @@ class Supervisor:
             report.elapsed_s = time.perf_counter() - self._run_started
             if self._stop_signal is not None:
                 report.interrupted = True
-                journal.record("run_interrupted", signal=self._stop_signal)
-            journal.record(
-                "run_end",
-                succeeded=report.succeeded,
-                resumed=report.resumed,
-                retries=report.retries,
-                timeouts=report.timeouts,
-                quarantined=report.quarantined,
-                dep_skipped=report.dep_skipped,
-                interrupted=report.interrupted,
-            )
+                self.run_dir.record("run_interrupted",
+                                    signal=self._stop_signal)
+            self.run_dir.record(
+                "run_end", succeeded=report.succeeded, resumed=report.resumed,
+                retries=report.retries, timeouts=report.timeouts,
+                quarantined=report.quarantined, dep_skipped=report.dep_skipped,
+                interrupted=report.interrupted)
 
         report.states = {
             name: outcomes[name].state.value for name in self.spec_order
@@ -327,27 +305,14 @@ class Supervisor:
 
     def _resume_pass(self, prior: list[dict[str, Any]]) -> None:
         """Skip jobs whose journaled success still verifies on disk."""
-        last_success: dict[str, dict[str, Any]] = {}
-        for rec in prior:
-            if rec.get("event") == "job_success" and rec.get("job") in self.by_name:
-                last_success[rec["job"]] = rec
-        for name, rec in last_success.items():
-            path = self.artifact_path(name)
-            if not os.path.exists(path):
-                continue
-            if sha256_file(path) != rec.get("sha256"):
-                continue  # artifact changed since journaled: re-run it
-            try:
-                payload = read_artifact(path)
-            except SerializationError:
-                continue
+        for name, payload in self.run_dir.verified(prior,
+                                                   self.by_name).items():
             outcome = self._outcomes[name]
             outcome.state = JobState.SKIPPED_RESUMED
             outcome.payload = payload
-            outcome.artifact_path = path
-            outcome.artifact_sha256 = rec["sha256"]
+            outcome.artifact_path = self.run_dir.artifact_path(name)
             self._report.resumed += 1
-            self._journal.record("job_skipped", job=name, reason="resumed")
+            self.run_dir.record("job_skipped", job=name, reason="resumed")
             self._emit_progress(name)
 
     # -- result cache --------------------------------------------------
@@ -361,20 +326,18 @@ class Supervisor:
         so ``--resume`` of an interrupted run and any later audit can
         see exactly which points were never simulated.
         """
-        if self.cache is None:
-            return
         for spec in self.specs:
             outcome = self._outcomes[spec.name]
-            if spec.cache_key is None or outcome.state is not JobState.PENDING:
+            if outcome.state is not JobState.PENDING:
                 continue
-            entry = self.cache.get(spec.cache_key)
-            if entry is None or "payload" not in entry:
+            payload = get_job(self.cache, spec.cache_key)
+            if payload is MISS:
                 continue
             outcome.state = JobState.SKIPPED_CACHED
-            outcome.payload = entry["payload"]
+            outcome.payload = payload
             self._report.cached += 1
-            self._journal.record("job_skipped", job=spec.name, reason="cache",
-                                 cache_key=spec.cache_key)
+            self.run_dir.record("job_skipped", job=spec.name, reason="cache",
+                                cache_key=spec.cache_key)
             self._emit_progress(spec.name)
 
     # -- prefetch ------------------------------------------------------
@@ -444,8 +407,8 @@ class Supervisor:
                 outcome.state = JobState.SKIPPED_DEPENDENCY
                 outcome.error = f"upstream failed: {', '.join(broken)}"
                 self._report.dep_skipped += 1
-                self._journal.record("job_skipped", job=spec.name,
-                                     reason="dependency", upstream=broken)
+                self.run_dir.record("job_skipped", job=spec.name,
+                                    reason="dependency", upstream=broken)
                 self._emit_progress(spec.name)
 
     def _launch_ready(self, running: dict[str, attempt.Attempt]) -> None:
@@ -463,10 +426,9 @@ class Supervisor:
             if time.monotonic() < self._ready_at[spec.name]:
                 continue
             outcome.attempts += 1
-            self._journal.record("job_start", job=spec.name,
-                                 attempt=outcome.attempts)
+            self.run_dir.record_start(spec.name, outcome.attempts)
             job = (spec.name, spec.target, spec.kwargs,
-                   self.artifact_path(spec.name))
+                   self.run_dir.artifact_path(spec.name))
             traceparent = self.job_context(spec).to_traceparent()
             if self.isolate:
                 running[spec.name] = attempt.Attempt(
@@ -484,19 +446,13 @@ class Supervisor:
         outcome = self._outcomes[spec.name]
         used = outcome.attempts
         if result.kind == attempt.SUCCESS:
-            path = self.artifact_path(spec.name)
             outcome.state = JobState.SUCCEEDED
             outcome.payload = result.payload
             outcome.elapsed_s = result.elapsed_s
-            outcome.artifact_path = path
-            outcome.artifact_sha256 = result.sha256
+            outcome.artifact_path = self.run_dir.record_success(
+                spec.name, used, result.elapsed_s, result.sha256)
             self._report.succeeded += 1
-            self._journal.record("job_success", job=spec.name, attempt=used,
-                                 elapsed_s=round(result.elapsed_s, 3),
-                                 artifact=os.path.relpath(path, self.run_dir),
-                                 sha256=result.sha256)
-            if self.cache is not None and spec.cache_key is not None:
-                self.cache.put(spec.cache_key, {"payload": result.payload})
+            put_job(self.cache, spec.cache_key, result.payload)
             self._emit_progress(spec.name)
             return
         if result.kind == attempt.TIMEOUT:  # all failure kinds retry alike
@@ -511,13 +467,13 @@ class Supervisor:
             backoff = self._backoffs[spec.name].next_backoff()
             self._report.retries += 1
             self._ready_at[spec.name] = time.monotonic() + backoff
-            self._journal.record("job_retry", job=spec.name, attempt=used,
-                                 backoff_s=round(backoff, 3), error=error)
+            self.run_dir.record("job_retry", job=spec.name, attempt=used,
+                                backoff_s=round(backoff, 3), error=error)
         else:
             outcome.state = JobState.QUARANTINED
             self._report.quarantined += 1
-            self._journal.record("job_quarantined", job=spec.name,
-                                 attempts=used, error=error)
+            self.run_dir.record("job_quarantined", job=spec.name,
+                                attempts=used, error=error)
             self._emit_progress(spec.name)
 
     # -- progress ------------------------------------------------------

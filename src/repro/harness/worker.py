@@ -14,7 +14,9 @@ A job's ``traceparent`` is installed in
 
 from __future__ import annotations
 
+import hashlib
 import importlib
+import json
 import os
 import sys
 import traceback
@@ -43,42 +45,45 @@ def resolve_target(target: str) -> Callable[..., Any]:
     return fn
 
 
-def write_artifact(path: str, name: str, target: str, payload: Any) -> None:
-    """Atomically persist a job's result (sorted keys: stable bytes)."""
-    atomic_write_json(path, {
+def write_artifact(path: str, name: str, target: str, payload: Any) -> str:
+    """Atomically persist a job's result (sorted keys: stable bytes);
+    returns the SHA-256 of the bytes written."""
+    text = atomic_write_json(path, {
         "schema": ARTIFACT_SCHEMA,
         "job": name,
         "target": target,
         "payload": payload,
     })
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
-def read_artifact(path: str) -> Any:
-    """Load a job artifact and return its payload."""
-    import json
-
+def read_artifact(path: str) -> tuple[Any, str]:
+    """A job artifact's payload and the SHA-256 of its bytes, from one
+    read.  :class:`SerializationError` unless the bytes parse as a JSON
+    object of this schema with a payload; ``OSError`` if unreadable."""
+    with open(path, "rb") as handle:
+        data = handle.read()
     try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except json.JSONDecodeError as exc:
+        doc = json.loads(data)
+    except (ValueError, RecursionError) as exc:
         raise SerializationError(
-            f"{path}: corrupt or truncated artifact JSON ({exc})"
-        ) from exc
-    if data.get("schema") != ARTIFACT_SCHEMA:
-        raise SerializationError(
-            f"{path}: unsupported artifact schema {data.get('schema')!r}"
-        )
-    return data["payload"]
+            f"{path}: corrupt or truncated artifact JSON ({exc})") from exc
+    if not isinstance(doc, dict) or doc.get("schema") != ARTIFACT_SCHEMA \
+            or "payload" not in doc:
+        raise SerializationError(f"{path}: not a schema-{ARTIFACT_SCHEMA} "
+                                 "artifact with a payload")
+    return doc["payload"], hashlib.sha256(data).hexdigest()
 
 
 def run_job_inline(name: str, target: str, kwargs: dict[str, Any],
-                   artifact_path: str, traceparent: str | None = None) -> Any:
-    """Execute a job in this process and persist its artifact."""
+                   artifact_path: str,
+                   traceparent: str | None = None) -> tuple[Any, str]:
+    """Execute a job in this process and persist its artifact; returns
+    the payload and the artifact's SHA-256."""
     fn = resolve_target(target)
     with propagation_env(TraceContext.parse(traceparent)):
         payload = fn(**kwargs)
-    write_artifact(artifact_path, name, target, payload)
-    return payload
+    return payload, write_artifact(artifact_path, name, target, payload)
 
 
 def worker_main(name: str, target: str, kwargs: dict[str, Any],

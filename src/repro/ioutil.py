@@ -12,7 +12,6 @@ bytes or the new bytes, never a mixture.
 
 from __future__ import annotations
 
-import hashlib
 import json
 import os
 import tempfile
@@ -43,20 +42,11 @@ def atomic_write_text(path: str | os.PathLike[str], text: str,
 
 
 def atomic_write_json(path: str | os.PathLike[str], data: Any,
-                      indent: int | None = 2, sort_keys: bool = True) -> None:
-    """Serialize ``data`` and write it atomically.
+                      indent: int | None = 2, sort_keys: bool = True) -> str:
+    """Serialize ``data``, write it atomically and return the text;
+    ``sort_keys`` makes identical payloads identical bytes (resume
+    verification hashes job artifacts)."""
+    text = json.dumps(data, indent=indent, sort_keys=sort_keys) + "\n"
+    atomic_write_text(path, text)
+    return text
 
-    ``sort_keys`` defaults on so identical payloads produce identical
-    bytes regardless of construction order — the harness' resume
-    verification hashes these files.
-    """
-    atomic_write_text(path, json.dumps(data, indent=indent, sort_keys=sort_keys) + "\n")
-
-
-def sha256_file(path: str | os.PathLike[str]) -> str:
-    """Hex SHA-256 of a file's bytes (artifact identity for resume)."""
-    digest = hashlib.sha256()
-    with open(path, "rb") as handle:
-        for chunk in iter(lambda: handle.read(65536), b""):
-            digest.update(chunk)
-    return digest.hexdigest()

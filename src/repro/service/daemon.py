@@ -9,11 +9,11 @@
 Robustness properties, and where they live:
 
 - **No lost or duplicated results.**  Every submission is journaled
-  (write-ahead, fsynced — :class:`repro.harness.journal.Journal`) before
-  it is queued, every completion is journaled with the artifact's
-  SHA-256, and recovery re-enqueues exactly the submitted-but-unfinished
-  jobs; finished jobs whose artifact bytes still hash correctly are
-  served from disk, never re-simulated.
+  (write-ahead, fsynced) before it is queued, every completion is
+  journaled with the artifact's SHA-256, and recovery re-enqueues exactly
+  the submitted-but-unfinished jobs; finished jobs whose artifact still
+  verifies are served from disk, never re-simulated.  The run directory
+  is the harness supervisor's :class:`repro.harness.journal.RunDir`.
 - **Backpressure, not collapse.**  Admission refusals are typed
   (:class:`~repro.service.admission.AdmissionRefused`) and carry a
   ``Retry-After`` derived from queue depth and the observed service
@@ -41,12 +41,11 @@ import os
 import time
 from typing import Any
 
+from repro.cache import MISS, get_job, put_job
 from repro.errors import SerializationError, ServiceError
 from repro.faults.retry import RetryPolicy
 from repro.harness import attempt
-from repro.harness.journal import JOURNAL_NAME, Journal, read_journal
-from repro.harness.worker import read_artifact
-from repro.ioutil import sha256_file
+from repro.harness.journal import RunDir
 from repro.service.admission import AdmissionRefused, FairTenantQueues
 from repro.service.breaker import BreakerState, CircuitBreaker
 from repro.service.config import ServiceConfig
@@ -65,6 +64,9 @@ from repro.telemetry.tracecontext import TraceContext
 _BREAKER_LEVEL = {
     BreakerState.CLOSED: 0, BreakerState.CACHE_ONLY: 1, BreakerState.OPEN: 2,
 }
+#: Journal events that end a job other than with a result.
+_ENDED = {"job_failed": JobPhase.FAILED, "job_expired": JobPhase.EXPIRED,
+          "job_cancelled": JobPhase.CANCELLED}
 
 
 class Unavailable(ServiceError):
@@ -85,8 +87,7 @@ class SimulationService:
         from repro.telemetry import Telemetry
 
         self.config = config
-        self.run_dir = os.fspath(run_dir)
-        self.artifact_dir = os.path.join(self.run_dir, "artifacts")
+        self.run_dir = RunDir(run_dir)
         self.cache = cache
         self.telemetry = telemetry if telemetry is not None else Telemetry()
         self.records: dict[str, JobRecord] = {}
@@ -108,7 +109,6 @@ class SimulationService:
         self.draining = False           # admission gate (503 when True)
         self._shutdown_started = False  # shutdown() re-entrancy guard
         self.started = False
-        self._journal: Journal | None = None
         self._tasks: list[asyncio.Task] = []
         self._stopped = asyncio.Event()
         self._wake = asyncio.Event()    # queue or in-flight work changed
@@ -161,19 +161,14 @@ class SimulationService:
 
     async def start(self) -> None:
         """Open the journal, recover prior state, launch workers+reaper."""
-        os.makedirs(self.artifact_dir, exist_ok=True)
-        journal_path = os.path.join(self.run_dir, JOURNAL_NAME)
-        prior = read_journal(journal_path) if os.path.exists(journal_path) else []
-        self._journal = Journal(journal_path)
-        self._journal.record("service_start",
-                             workers=self.config.workers,
-                             resume=bool(prior))
+        prior = self.run_dir.open()
+        self.run_dir.record("service_start", workers=self.config.workers,
+                            resume=bool(prior))
         if prior:
             try:
                 self._recover(prior)
             except SerializationError:
-                self._journal.close()
-                self._journal = None
+                self.run_dir.close()
                 raise
         for index in range(self.config.workers):
             self._tasks.append(
@@ -191,63 +186,44 @@ class SimulationService:
 
         Submitted-but-unfinished jobs re-enter their tenant queues (in
         submission order, bypassing rate limits — they were already
-        admitted once); finished jobs whose artifact still verifies are
-        served from disk.  Nothing runs twice, nothing vanishes.
+        admitted once); finished jobs whose artifact still verifies
+        (:meth:`RunDir.verified`) are served from disk.  Nothing runs
+        twice, nothing vanishes.
         """
         now = time.monotonic()
         now_unix = time.time()
         submitted: dict[str, JobRecord] = {}
-        finished: set[str] = set()
         for rec in prior:
             event = rec.get("event")
             job_id = rec.get("job")
+            record = submitted.get(job_id)
             if event == "job_submitted" and job_id:
                 record, number = self._submitted_record(rec, now, now_unix)
                 submitted[job_id] = record
                 self._seq = max(self._seq, number)
-            elif event == "job_cached" and job_id in submitted:
-                record = submitted[job_id]
+            elif event == "job_cached" and record is not None:
                 record.phase = JobPhase.DONE
                 record.served_from_cache = True
-                if self.cache is not None and record.request.cache_key:
-                    entry = self.cache.get(record.request.cache_key)
-                    if entry is not None:
-                        record.result = entry.get("payload")
-                finished.add(job_id)
-            elif event == "job_success" and job_id in submitted:
-                record = submitted[job_id]
-                path = self._artifact_path(job_id)
-                sha = rec.get("sha256")
-                if os.path.exists(path) and sha256_file(path) == sha:
-                    try:
-                        record.result = read_artifact(path)
-                    except Exception:
-                        continue  # unreadable: stays queued, re-runs
-                    record.phase = JobPhase.DONE
-                    record.artifact_sha256 = sha
-                    finished.add(job_id)
-            elif event in ("job_failed", "job_expired", "job_cancelled") \
-                    and job_id in submitted:
-                phase = {"job_failed": JobPhase.FAILED,
-                         "job_expired": JobPhase.EXPIRED,
-                         "job_cancelled": JobPhase.CANCELLED}[event]
-                submitted[job_id].phase = phase
-                finished.add(job_id)
+                record.result = get_job(self.cache, record.request.cache_key,
+                                        None)
+            elif event in _ENDED and record is not None:
+                record.phase = _ENDED[event]
+        for job_id, payload in self.run_dir.verified(prior,
+                                                     submitted).items():
+            submitted[job_id].phase = JobPhase.DONE
+            submitted[job_id].result = payload
         resumed = 0
         for job_id, record in submitted.items():
             self.records[job_id] = record
-            if job_id in finished:
-                continue
-            if record.result is not None:
-                continue
+            if record.phase is not JobPhase.QUEUED:
+                continue  # finished in a previous incarnation
             if record.expired(now):
                 self._finish_expired(record, where="recovery")
                 continue
-            record.phase = JobPhase.QUEUED
             self.queues.requeue(record.request.tenant, job_id)
             resumed += 1
         if resumed:
-            self._journal.record("service_resumed", jobs=resumed)
+            self.run_dir.record("service_resumed", jobs=resumed)
             self.telemetry.counter("service_resumed_jobs_total").inc(resumed)
             self._wake.set()
 
@@ -256,7 +232,7 @@ class SimulationService:
         """A journaled ``job_submitted`` record as a job and its sequence
         number; :class:`SerializationError` if a field is malformed."""
         job_id = rec["job"]
-        where = f"{os.path.join(self.run_dir, JOURNAL_NAME)}: job {job_id!r}"
+        where = f"{self.run_dir.journal_path}: job {job_id!r}"
         try:
             number = int(job_id.rsplit("-", 1)[-1])
         except ValueError:
@@ -289,8 +265,7 @@ class SimulationService:
             return
         self._shutdown_started = True
         self.draining = True
-        if self._journal is not None:
-            self._journal.record("service_drain", reason=reason)
+        self.run_dir.record("service_drain", reason=reason)
         deadline = time.monotonic() + self.config.drain_timeout_s
         while self.queues.depth() + self._in_flight \
                 and self.breaker.state is BreakerState.CLOSED \
@@ -303,15 +278,10 @@ class SimulationService:
         await asyncio.gather(*self._tasks, return_exceptions=True)
         self._tasks.clear()
         abandoned = self.queues.drain_all()
-        if self._journal is not None:
-            self._journal.record(
-                "service_stop",
-                outstanding=len(abandoned),
-                done=sum(1 for r in self.records.values()
-                         if r.phase is JobPhase.DONE),
-            )
-            self._journal.close()
-            self._journal = None
+        self.run_dir.record("service_stop", outstanding=len(abandoned),
+                            done=sum(1 for r in self.records.values()
+                                     if r.phase is JobPhase.DONE))
+        self.run_dir.close()
         if self.config.telemetry_dir and self.telemetry.enabled:
             # Fold the per-job worker exports and the daemon's own
             # stream into run-level files: the single stitched trace.
@@ -395,41 +365,35 @@ class SimulationService:
 
     def _try_cache(self, request: JobRequest) -> JobRecord | None:
         """Serve an identical prior submission from the result store."""
-        if self.cache is None or request.cache_key is None \
-                or not self.breaker.allow_cache_serve():
+        if not self.breaker.allow_cache_serve():
             return None
-        entry = self.cache.get(request.cache_key)
-        if entry is None or "payload" not in entry:
+        payload = get_job(self.cache, request.cache_key)
+        if payload is MISS:
             return None
         job_id = self._next_job_id()
         record = JobRecord(job_id=job_id, request=request,
                            phase=JobPhase.DONE, served_from_cache=True)
         record.trace = self.telemetry.child_context("job", job_id)
-        record.result = entry["payload"]
+        record.result = payload
         record.finished_unix = time.time()
         self.records[job_id] = record
         self._journal_submit(record)
-        assert self._journal is not None
-        self._journal.record("job_cached", job=job_id,
-                             cache_key=request.cache_key)
+        self.run_dir.record("job_cached", job=job_id,
+                            cache_key=request.cache_key)
         self._count("service_cache_hits_total", tenant=request.tenant)
         self._record_job_trace(record)
         return record
 
     def _journal_submit(self, record: JobRecord) -> None:
-        assert self._journal is not None
         deadline_unix = None
         if record.request.deadline_s is not None:
             deadline_unix = record.submitted_unix + record.request.deadline_s
-        self._journal.record(
-            "job_submitted", job=record.job_id,
-            tenant=record.request.tenant,
+        self.run_dir.record(
+            "job_submitted", job=record.job_id, tenant=record.request.tenant,
             request=record.request.as_dict(),
-            submitted_unix=record.submitted_unix,
-            deadline_unix=deadline_unix,
+            submitted_unix=record.submitted_unix, deadline_unix=deadline_unix,
             traceparent=(record.trace.to_traceparent()
-                         if record.trace is not None else None),
-        )
+                         if record.trace is not None else None))
 
     def _next_job_id(self) -> str:
         self._seq += 1
@@ -444,8 +408,7 @@ class SimulationService:
             self.queues.drain_expired(lambda item: item == job_id)
             record.phase = JobPhase.CANCELLED
             record.finished_unix = time.time()
-            if self._journal is not None:
-                self._journal.record("job_cancelled", job=job_id)
+            self.run_dir.record("job_cancelled", job=job_id)
             self._count("service_cancelled_total")
             self._set_gauges()
             self._wake.set()
@@ -515,14 +478,12 @@ class SimulationService:
         started = time.perf_counter()
         while True:
             record.attempts += 1
-            assert self._journal is not None
-            self._journal.record("job_start", job=record.job_id,
-                                 attempt=record.attempts)
+            self.run_dir.record_start(record.job_id, record.attempts)
             outcome = await self._attempt(record)
             if outcome.kind == attempt.SUCCESS:
                 record.result = outcome.payload
-                record.artifact_sha256 = outcome.sha256
-                self._finish_success(record, time.perf_counter() - started)
+                self._finish_success(record, outcome.sha256,
+                                     time.perf_counter() - started)
                 return
             if outcome.kind == attempt.EXPIRED:
                 self._finish_expired(record, where="running")
@@ -564,7 +525,7 @@ class SimulationService:
         """One attempt in a worker process, killed at timeout or deadline."""
         worker = attempt.Attempt(record.job_id, JOB_TARGET,
                                  self._job_kwargs(record),
-                                 self._artifact_path(record.job_id),
+                                 self.run_dir.artifact_path(record.job_id),
                                  timeout_s=self.config.job_timeout_s,
                                  deadline=record.deadline_monotonic)
         self.running_procs[record.job_id] = worker.proc
@@ -619,24 +580,15 @@ class SimulationService:
                   t_unix=t_end if record.finished_unix is not None
                   else time.time())
 
-    def _finish_success(self, record: JobRecord, elapsed: float) -> None:
+    def _finish_success(self, record: JobRecord, sha256: str,
+                        elapsed: float) -> None:
         record.phase = JobPhase.DONE
         record.finished_unix = time.time()
-        assert self._journal is not None
-        self._journal.record(
-            "job_success", job=record.job_id, attempt=record.attempts,
-            elapsed_s=round(elapsed, 3),
-            artifact=os.path.relpath(self._artifact_path(record.job_id),
-                                     self.run_dir),
-            sha256=record.artifact_sha256,
-        )
+        self.run_dir.record_success(record.job_id, record.attempts, elapsed,
+                                    sha256)
         self.breaker.record_success()
         self.queues.observe_service_time(elapsed)
-        if self.cache is not None and record.request.cache_key is not None:
-            # read_artifact returned the payload; store it under the
-            # same envelope shape the harness uses.
-            self.cache.put(record.request.cache_key,
-                           {"payload": record.result})
+        put_job(self.cache, record.request.cache_key, record.result)
         self._count("service_jobs_done_total", tenant=record.request.tenant)
         self.telemetry.histogram("service_job_wall_s").observe(elapsed)
         self._record_job_trace(record)
@@ -645,10 +597,8 @@ class SimulationService:
         record.phase = JobPhase.FAILED
         record.error = error or "unknown failure"
         record.finished_unix = time.time()
-        assert self._journal is not None
-        self._journal.record("job_failed", job=record.job_id,
-                             attempts=record.attempts,
-                             error=record.error)
+        self.run_dir.record("job_failed", job=record.job_id,
+                            attempts=record.attempts, error=record.error)
         self._count("service_jobs_failed_total", tenant=record.request.tenant)
         self._record_job_trace(record)
 
@@ -656,8 +606,7 @@ class SimulationService:
         record.phase = JobPhase.EXPIRED
         record.error = f"deadline expired ({where})"
         record.finished_unix = time.time()
-        if self._journal is not None:
-            self._journal.record("job_expired", job=record.job_id, where=where)
+        self.run_dir.record("job_expired", job=record.job_id, where=where)
         self._count("service_jobs_expired_total", where=where)
         self._record_job_trace(record)
 
@@ -682,8 +631,3 @@ class SimulationService:
                     self._finish_expired(record, where="queued")
             self._set_gauges()
             self._wake.set()
-
-    # -- paths ----------------------------------------------------------
-
-    def _artifact_path(self, job_id: str) -> str:
-        return os.path.join(self.artifact_dir, f"{job_id}.json")

@@ -207,7 +207,6 @@ class JobRecord:
     result: Any = None
     error: str | None = None
     served_from_cache: bool = False
-    artifact_sha256: str | None = None
     finished_unix: float | None = None
     started_unix: float | None = None         # first RUNNING transition
     # Trace position of this job's span (repro.telemetry.tracecontext).

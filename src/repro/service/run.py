@@ -33,19 +33,11 @@ def config_from_args(args: argparse.Namespace) -> ServiceConfig:
     )
 
 
-def _make_cache(cache_dir: str | None):
-    if cache_dir == "off":
-        return None
-    from repro.cache import ResultCache, default_cache_dir
-
-    return ResultCache(cache_dir or default_cache_dir())
-
-
-async def serve_until_signalled(args: argparse.Namespace) -> int:
-    """Boot the daemon, serve until SIGTERM/SIGINT, drain, exit 0."""
+async def serve_until_signalled(args: argparse.Namespace, cache=None) -> int:
+    """Boot the daemon over ``cache`` (None: uncached), serve until
+    SIGTERM/SIGINT, drain, exit 0."""
     config = config_from_args(args)
-    service = SimulationService(config, args.run_dir,
-                                cache=_make_cache(args.cache_dir))
+    service = SimulationService(config, args.run_dir, cache=cache)
     await service.start()
     frontend = HttpFrontend(service)
     await frontend.start()
@@ -56,7 +48,7 @@ async def serve_until_signalled(args: argparse.Namespace) -> int:
         loop.add_signal_handler(sig, stop.set)
 
     print(f"greengpu service: http://{config.host}:{frontend.port} "
-          f"({config.workers} workers, run dir {service.run_dir})",
+          f"({config.workers} workers, run dir {service.run_dir.root})",
           file=sys.stderr, flush=True)
     await stop.wait()
     print("greengpu service: draining...", file=sys.stderr, flush=True)

@@ -109,7 +109,7 @@ def test_spawned_outcome(tmp_path, wait, case, target, kwargs, options,
     else:
         assert outcome.error == expected_error(case, artifact)
     if kind == SUCCESS:
-        assert outcome.payload == {"value": 5} == read_artifact(artifact)
+        assert outcome.payload == {"value": 5} == read_artifact(artifact)[0]
         assert outcome.sha256 == sha256_of(artifact)
     else:
         assert outcome.payload is None and outcome.sha256 is None
@@ -208,7 +208,7 @@ class TestInline:
         artifact = str(tmp_path / "job.json")
         outcome = run_inline("job", f"{TESTJOBS}:ok", {"value": 9}, artifact)
         assert outcome.kind == SUCCESS
-        assert outcome.payload == {"value": 9} == read_artifact(artifact)
+        assert outcome.payload == {"value": 9} == read_artifact(artifact)[0]
         assert outcome.sha256 == sha256_of(artifact)
         assert outcome.error is None
 
@@ -224,5 +224,5 @@ class TestInline:
         outcome = run_inline("job", f"{TESTJOBS}:boom", {}, artifact,
                              payload={"value": 0})
         assert outcome.kind == SUCCESS
-        assert read_artifact(artifact) == {"value": 0}
+        assert read_artifact(artifact)[0] == {"value": 0}
         assert outcome.sha256 == sha256_of(artifact)

@@ -7,14 +7,17 @@ miss still equals a direct run byte for byte.
 """
 
 import inspect
+import json
 import os
 import subprocess
 import sys
 
 import pytest
 
+import repro.fleet.shard
 import repro.harness.suite_jobs
 import repro.service.jobs
+from repro.fleet import make_scenario
 from repro.harness.attempt import SUCCESS, Attempt, wait_any
 from repro.harness.suite_jobs import SUITE_ARTIFACTS
 from repro.harness.worker import write_artifact
@@ -26,7 +29,8 @@ from repro.telemetry.tracecontext import TraceContext
 
 SRC = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", "..",
                                    "src"))
-TARGET_MODULES = (repro.service.jobs, repro.harness.suite_jobs)
+TARGET_MODULES = (repro.service.jobs, repro.harness.suite_jobs,
+                  repro.fleet.shard)
 SUITE = "repro.harness.suite_jobs"
 FAST = 0.01
 #: ``{tmp}`` in a kwarg becomes the test's temporary directory.
@@ -45,6 +49,9 @@ TARGET_KWARGS = {
     f"{SUITE}:run_chaos_pair": [{"workload": "kmeans", "time_scale": FAST,
                                  "n_iterations": 2, "seed": 1,
                                  "stall_s": 0.01}],
+    "repro.fleet.shard:run_shard": [{
+        "scenario": make_scenario("diurnal", n_nodes=2).to_dict(),
+        "allocator": "uniform-cap", "node_lo": 0, "node_hi": 2}],
 }
 CASES = [(target, kwargs) for target, cases in TARGET_KWARGS.items()
          for kwargs in cases]
@@ -103,6 +110,30 @@ def test_parent_main_runs_once_in_the_server_not_per_attempt(tmp_path, how):
     runs = log.read_text(encoding="utf-8").split()
     assert len(runs) == 2, runs  # the parent, then the forkserver
     assert len(set(runs)) == 2
+
+
+SYS_PATH_BODY = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from repro.harness.attempt import Attempt, wait_any
+attempt = Attempt("imports", "repro.harness._testjobs:imports_of",
+                  {"target": sys.argv[3], "kwargs": json.loads(sys.argv[4])},
+                  sys.argv[2])
+while (outcome := attempt.poll()) is None:
+    wait_any([attempt])
+print(json.dumps(outcome.payload))
+"""
+
+
+def test_preload_reaches_repro_through_a_run_time_sys_path_edit(tmp_path):
+    env = {key: value for key, value in os.environ.items()
+           if key != "PYTHONPATH"}
+    proc = subprocess.run(
+        [sys.executable, "-c", SYS_PATH_BODY, SRC, str(tmp_path / "job.json"),
+         JOB_TARGET, json.dumps(SIM)],
+        env=env, cwd=tmp_path, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"imported": []}
 
 
 def test_served_miss_equals_a_direct_run_byte_for_byte(tmp_path):

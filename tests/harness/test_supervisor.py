@@ -77,7 +77,7 @@ class TestInlineRuns:
         outcome = result.outcomes["a"]
         assert outcome.state is JobState.SUCCEEDED
         assert outcome.payload == {"value": 5}
-        assert read_artifact(outcome.artifact_path) == {"value": 5}
+        assert read_artifact(outcome.artifact_path)[0] == {"value": 5}
         events = [r["event"] for r in read_journal(tmp_path / JOURNAL_NAME)]
         assert events == ["run_start", "job_start", "job_success", "run_end"]
 

@@ -32,7 +32,7 @@ def test_serve_over_mistyped_job_field_exits_2(tmp_path):
     env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
     proc = subprocess.run(
         [sys.executable, "-m", "repro.cli", "serve", "--run-dir",
-         str(run_dir), "--port", "0", "--cache-dir", "off"],
+         str(run_dir), "--port", "0", "--no-cache"],
         capture_output=True, text=True, timeout=60, env=env,
     )
     assert proc.returncode == 2

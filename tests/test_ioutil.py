@@ -5,7 +5,7 @@ import os
 
 import pytest
 
-from repro.ioutil import atomic_write_json, atomic_write_text, sha256_file
+from repro.ioutil import atomic_write_json, atomic_write_text
 
 
 class TestAtomicWriteText:
@@ -42,18 +42,9 @@ class TestAtomicWriteJson:
         assert json.loads(path.read_text()) == {"a": [1, 2], "b": 2}
 
     def test_bytes_stable_under_key_order(self, tmp_path):
-        # sort_keys: identical payloads hash identically for resume.
+        # sort_keys: identical payloads give identical bytes.
         a, b = tmp_path / "a.json", tmp_path / "b.json"
         atomic_write_json(a, {"x": 1, "y": 2})
         atomic_write_json(b, {"y": 2, "x": 1})
         assert a.read_bytes() == b.read_bytes()
-        assert sha256_file(a) == sha256_file(b)
 
-
-class TestSha256File:
-    def test_matches_known_digest(self, tmp_path):
-        path = tmp_path / "f"
-        path.write_bytes(b"abc")
-        assert sha256_file(path) == (
-            "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"
-        )
