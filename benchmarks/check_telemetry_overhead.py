@@ -1,16 +1,19 @@
 """CI gate: disabled telemetry < 3 %, audit-enabled tick < 5 % overhead.
 
-The controller guards its hot-path span sites behind a cached
-``_tel_on`` flag (set once at construction), so a clean tier-2 scaling
-tick with telemetry disabled pays only branch checks — no null-span
-``with`` blocks, no method calls into the backend.  Per tick that is:
-one flag check in ``_scaling_tick``, two attribute reads plus three
-local flag checks plus a recorder check in ``_scale_card``, an
-attribute read plus a flag check in ``_apply_gpu_frequencies``, and the
-power/trace flag check back in ``_scaling_tick_body``.
+The controller reports every decision to one observer
+(:mod:`repro.core.observer`).  With no sink attached (no recorder, no
+audit, telemetry off) a clean tier-2 scaling tick pays only this for
+it: the span sites were chosen at attach (bare tick, monitor-read, WMA
+and actuation callables, so no span check at all), and what is left
+per tick is one ``_traced`` check before the card's report in
+``_scale_card``, the ``observer`` and ``_retry`` reads in
+``_apply_gpu_frequencies`` (the retry reporter and the write chosen at
+attach), and one ``_report_tick`` check before the tick's report in
+``_scaling_tick``.
 
 This script measures that probe sequence in isolation (minus the bare
-loop cost) and divides it by the wall time of the *genuine*
+loop cost), on the attributes of a real attached controller, and
+divides it by the wall time of the *genuine*
 ``GreenGpuController._scaling_tick`` driven against a calibrated
 testbed — no synthetic stand-in for the denominator.  The testbed's GPU
 advances one scaling interval between ticks, outside the timed region,
@@ -69,15 +72,6 @@ PAIRS = 70
 PAIR_TICKS = 5_000
 
 
-class _Carrier:
-    """Instance-attribute stand-in for the controller's cached state."""
-
-    def __init__(self) -> None:
-        self._tel_on = NOOP.enabled
-        self.telemetry = NOOP
-        self.recorder = None
-
-
 def bench_baseline() -> float:
     """Bare loop cost, subtracted from the probe measurement."""
     t0 = time.perf_counter()
@@ -87,28 +81,20 @@ def bench_baseline() -> float:
 
 
 def bench_probes() -> float:
-    """The exact per-tick probe sequence of a clean disabled scaling tick."""
-    self = _Carrier()
+    """The exact per-tick probe sequence of a clean sink-less scaling tick."""
+    self = GreenGpuPolicy(config=GreenGpuConfig()).make_controller(None)
+    self.attach(make_testbed())
     t0 = time.perf_counter()
     for _ in range(TICKS):
-        if self._tel_on:                    # _scaling_tick wrapper
+        if self._traced:                    # _scale_card: card report
             pass
-        telemetry = self.telemetry          # _scale_card prologue
-        tel_on = self._tel_on
-        if tel_on:                          # monitor_read span site
+        observer = self.observer            # _apply_gpu_frequencies
+        retry = self._retry
+        if self._report_tick is not None:   # _scaling_tick: tick report
             pass
-        if tel_on:                          # wma_update span site
-            pass
-        if tel_on:                          # wma event/gauge block
-            pass
-        telemetry = self.telemetry          # _apply_gpu_frequencies
-        if self._tel_on:                    # freq_actuation span site
-            pass
-        if self.recorder is not None:       # per-card trace row
-            pass
-        if self._tel_on or self.recorder is not None:  # power/trace block
-            pass
-    return time.perf_counter() - t0
+    elapsed = time.perf_counter() - t0
+    self.detach()
+    return elapsed
 
 
 def bench_noop_trace() -> float:

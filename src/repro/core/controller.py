@@ -42,34 +42,20 @@ same faults when driven through :mod:`repro.faults`:
 
 Frequency writes go through bounded retry with capped backoff and are
 verified against ``peek_clocks()``, which is the only way to catch
-silently-ignored writes and thermal-throttle pinning.  Every fault,
-retry, fallback, skip and degradation is counted in
-:class:`~repro.faults.health.ControlHealth` and recorded on the trace
-(``ctrl_*`` channels).  With no faults injected, every guard is on the
-success path and the controller is bit-identical to the unhardened one.
+silently-ignored writes and thermal-throttle pinning.  With no faults
+injected, every guard is on the success path and the controller is
+bit-identical to the unhardened one.
 
 Observability
 -------------
 
-The controller is instrumented through :mod:`repro.telemetry`: every
-tier-2 tick runs inside a span (``scaling_tick`` / ``ondemand_tick``)
-with nested spans for the monitor read, the WMA update and the
-frequency actuation; retries, ladder transitions and WMA decisions
-become structured events; and power is tracked as a gauge plus a
-distribution histogram.  The :class:`ControlHealth` counters live in
-the telemetry registry (see :func:`repro.faults.health.counter_name`) —
-``controller.health`` is a view over them, so the legacy record and the
-exported metrics are one set of numbers.  Without a telemetry backend
-all instruments are the allocation-free no-ops from
-:data:`repro.telemetry.NOOP`; only the health counters stay real, in a
-private registry.
-
-An optional :class:`~repro.telemetry.audit.AuditTrail` records the *why*
-of every decision: one structured record per scaling tick (inputs, loss
-vectors, weight table, argmax-vs-runner-up margin, fault overrides) and
-per division boundary, rendered by ``repro explain`` and compared by
-``repro diff``.  Like telemetry, the audit path is guarded by a cached
-flag and defers all derivation off the hot tick.
+The tick bodies hold decisions only: each decision is one call on the
+controller's :class:`~repro.core.observer.ControlObserver`, which writes
+the trace rows (``ctrl_*`` channels included), the optional
+:class:`~repro.telemetry.audit.AuditTrail` notes and telemetry, and
+counts :class:`~repro.faults.health.ControlHealth`.  Attach picks the
+bare or the spanned (``scaling_tick`` / ``ondemand_tick`` around
+``monitor_read``, ``wma_update``, ``freq_actuation``) callables once.
 """
 
 from __future__ import annotations
@@ -79,10 +65,11 @@ from dataclasses import dataclass
 
 from repro.core.config import GreenGpuConfig
 from repro.core.division import WorkloadDivider
+from repro.core.observer import ControlObserver
 from repro.core.ondemand import OndemandGovernor
 from repro.core.wma import ScalingDecision, WmaFrequencyScaler
-from repro.errors import ActuationError, ConfigError, MonitorError, SimulationError
-from repro.faults.health import HEALTH_FIELDS, ControlHealth, counter_name
+from repro.errors import ActuationError, MonitorError, SimulationError
+from repro.faults.health import ControlHealth
 from repro.faults.injector import FaultInjector
 from repro.faults.retry import RetryPolicy, call_with_retry
 from repro.faults.wrappers import FaultyCpuStat, FaultyGpuActuator, FaultyNvidiaSmi
@@ -91,7 +78,7 @@ from repro.monitors.nvsmi import GpuUtilizationSample, NvidiaSmi
 from repro.sim.engine import TaskHandle
 from repro.sim.platform import HeteroSystem
 from repro.sim.trace import TraceRecorder
-from repro.telemetry import NOOP, MetricsRegistry, NullTelemetry, Telemetry
+from repro.telemetry import NullTelemetry, Telemetry
 from repro.telemetry.audit import AuditTrail
 
 
@@ -129,22 +116,36 @@ class HardeningPolicy:
 
 class _Card:
     """One GPU card's tier-2 state.  Card i >= 1 records ``gpu{i}_``
-    channels and a ``card`` label, so no card overwrites another's."""
+    channels and a ``card`` label, so no card overwrites another's.
+    ``query`` and ``step`` are its monitor read and WMA step, spanned or
+    bare as the observer chose; assigning ``nvsmi`` rebinds ``query``."""
 
-    __slots__ = ("gpu", "scaler", "nvsmi", "actuator", "last_sample",
-                 "channels", "labels")
+    __slots__ = ("gpu", "scaler", "_nvsmi", "actuator", "last_sample",
+                 "channels", "labels", "_spanned", "query", "step")
 
     def __init__(self, index: int, gpu, scaler: WmaFrequencyScaler,
-                 nvsmi, actuator):
+                 nvsmi, actuator, spanned):
         self.gpu = gpu
         self.scaler = scaler
-        self.nvsmi = nvsmi
         self.actuator = actuator
         self.last_sample: GpuUtilizationSample | None = None
         prefix = f"gpu{index}_" if index else "gpu_"
         self.channels = tuple(prefix + name
                               for name in ("u_core", "u_mem", "f_core", "f_mem"))
         self.labels = {"card": str(index)} if index else {}
+        self._spanned = spanned
+        self.step = spanned("wma_update", scaler.step, **self.labels)
+        self.nvsmi = nvsmi
+
+    @property
+    def nvsmi(self):
+        return self._nvsmi
+
+    @nvsmi.setter
+    def nvsmi(self, monitor) -> None:
+        self._nvsmi = monitor
+        self.query = self._spanned("monitor_read", monitor.query,
+                                   device="gpu", **self.labels)
 
 
 class GreenGpuController:
@@ -163,33 +164,22 @@ class GreenGpuController:
     ):
         self.mode = mode
         self.config = config or GreenGpuConfig()
-        self.recorder = recorder
         self.faults = faults
         self.hardening = hardening or HardeningPolicy()
-        self.telemetry = telemetry if telemetry is not None else NOOP
-        self.audit = audit
-        # Cached so the tier-2 tick bodies can guard their span sites
-        # with a plain branch: the CI overhead gate budgets the disabled
-        # hot path at < 3 %, which a `with null_span` per site would blow.
-        # The audit flag gets the same treatment (< 5 % enabled budget).
-        self._tel_on = self.telemetry.enabled
-        self._audit_on = audit is not None
-        # Health counters must be readable even with telemetry disabled,
-        # so they fall back to a private registry (counters only — the
-        # span/event path stays on the no-op backend).
-        metrics = (self.telemetry.registry if self.telemetry.enabled
-                   else MetricsRegistry())
-        base = dict(self.telemetry.base_labels) if self.telemetry.enabled else {}
-        self._health_counters = {
-            name: metrics.counter(counter_name(name), **base)
-            for name in HEALTH_FIELDS
-        }
+        # Each clean-path report site is one cached check (CI budgets a
+        # sink-less tick at < 3 % overhead and an audited one at < 5 %).
+        self.observer = ControlObserver(recorder, telemetry, audit)
+        self._traced = self.observer.traced
+        self._report_tick = self.observer.tick_report
         self._initial_ratio = initial_ratio
         self._cards: tuple[_Card, ...] = ()
         self.governor: OndemandGovernor | None = None
         self.divider: WorkloadDivider | None = None
         self._system: HeteroSystem | None = None
         self._cpustat: CpuStat | FaultyCpuStat | None = None
+        # Chosen at attach, spanned when telemetry is on (see _Card).
+        self._read_cpu = None
+        self._retry = call_with_retry
         self._tasks: list[TaskHandle] = []
         self._ondemand_task: TaskHandle | None = None
         # Parking (see _maybe_park): allowed only when the CPU monitor
@@ -229,42 +219,28 @@ class GreenGpuController:
 
     @property
     def health(self) -> ControlHealth:
-        """The fault/recovery record, materialized from telemetry counters.
-
-        The counters are the single source of truth; this view survives
-        :meth:`detach` (they reset on the next :meth:`attach`), matching
-        the historical "health readable post-run" contract.
-        """
-        return ControlHealth(**{
-            name: int(counter.value)
-            for name, counter in self._health_counters.items()
-        })
+        """The fault/recovery record; it survives :meth:`detach` (the
+        counters reset on the next :meth:`attach`)."""
+        return self.observer.health
 
     def attach(self, system: HeteroSystem) -> None:
         """Bind to a testbed and register the periodic tier-2 loops."""
         if self.attached:
             raise SimulationError("controller already attached")
-        n_cards = len(system.gpus)
-        if self._audit_on and n_cards > 1:
-            raise ConfigError(
-                "the decision audit records one WMA scaler; "
-                f"cannot audit a {n_cards}-card system"
-            )
+        observer = self.observer
+        observer.attach(system)
         self._system = system
-        for counter in self._health_counters.values():
-            counter.reset()
         cfg = self.config
         if self.faults is not None:
-            self.faults.bind(clock=system.clock, recorder=self.recorder,
-                             telemetry=self.telemetry)
+            self.faults.bind(clock=system.clock, observer=observer)
         if self.mode.division_enabled:
             self.divider = WorkloadDivider(cfg, r0=self._initial_ratio,
-                                           cards=n_cards)
+                                           cards=len(system.gpus))
         if self.mode.scaling_enabled:
-            self._cards = tuple(self._make_card(i, gpu)
+            spanned = observer.spanned
+            self._cards = tuple(self._make_card(i, gpu, spanned)
                                 for i, gpu in enumerate(system.gpus))
-            if self._audit_on:
-                self.audit.note_scaler(self.scaler)
+            observer.scaler_started(self.scaler)
             self.governor = OndemandGovernor(
                 system.cpu.spec.ladder,
                 up_threshold=cfg.ondemand_up_threshold,
@@ -274,13 +250,16 @@ class GreenGpuController:
                 self._cpustat = FaultyCpuStat(CpuStat(system.cpu), self.faults)
             else:
                 self._cpustat = CpuStat(system.cpu)
-            self._tasks.append(
-                system.clock.every(
-                    cfg.scaling_interval_s, self._scaling_tick, name="wma-scaling"
-                )
-            )
+            self._read_cpu = spanned("monitor_read", self._cpustat.query,
+                                     device="cpu")
+            self._retry = spanned("freq_actuation", call_with_retry)
+            self._tasks.append(system.clock.every(
+                cfg.scaling_interval_s,
+                spanned("scaling_tick", self._scaling_tick), name="wma-scaling",
+            ))
             self._ondemand_task = system.clock.every(
-                cfg.ondemand_interval_s, self._ondemand_tick, name="ondemand"
+                cfg.ondemand_interval_s,
+                spanned("ondemand_tick", self._ondemand_tick), name="ondemand",
             )
             self._tasks.append(self._ondemand_task)
             # fire() draws only for non-zero rates, so with these three at
@@ -291,14 +270,14 @@ class GreenGpuController:
                              "cpu_monitor_freeze")
             )
 
-    def _make_card(self, index: int, gpu) -> _Card:
+    def _make_card(self, index: int, gpu, spanned) -> _Card:
         spec = gpu.spec
         scaler = WmaFrequencyScaler(spec.core_ladder, spec.mem_ladder, self.config)
         if self.faults is not None:
             return _Card(index, gpu, scaler,
                          FaultyNvidiaSmi(NvidiaSmi(gpu), self.faults),
-                         FaultyGpuActuator(gpu, self.faults))
-        return _Card(index, gpu, scaler, NvidiaSmi(gpu), gpu)
+                         FaultyGpuActuator(gpu, self.faults), spanned)
+        return _Card(index, gpu, scaler, NvidiaSmi(gpu), gpu, spanned)
 
     def detach(self) -> None:
         """Cancel the periodic loops, unbind, and drop all learned state.
@@ -318,6 +297,7 @@ class GreenGpuController:
         self._park_ok = False
         self._system = None
         self._cpustat = None
+        self._read_cpu = None
         self._cards = ()
         self.governor = None
         self.divider = None
@@ -351,12 +331,8 @@ class GreenGpuController:
         if core_level < 0 or mem_level < 0:
             raise SimulationError("ceiling level indices must be >= 0")
         self._level_ceiling = (core_level, mem_level)
-        if self.telemetry.enabled:
-            self.telemetry.event(
-                "cap_ceiling_set",
-                t_sim=self._system.now if self._system is not None else 0.0,
-                core_level=core_level, mem_level=mem_level,
-            )
+        self.observer.ceiling(self._system.now if self._system is not None else 0.0,
+                              core_level, mem_level)
         for card in self._cards:
             gpu = card.gpu
             spec = gpu.spec
@@ -390,19 +366,18 @@ class GreenGpuController:
 
     # -- hardening plumbing --------------------------------------------------------
 
-    def _record_event(self, channel: str, t: float, value: float = 1.0) -> None:
-        if self.recorder is not None:
-            self.recorder.record(channel, t, value)
-
-    def _count(self, field: str) -> None:
-        """Bump one :class:`ControlHealth` counter (the only write path)."""
-        self._health_counters[field].inc()
-
-    def _stale_sample(self, last, t: float, interval_s: float):
-        """``last`` (a card's or the CPU's last good sample) if it is at
-        most ``stale_window_ticks`` ticks of ``interval_s`` old, else None."""
+    def _fallback_sample(self, last, t: float, interval_s: float):
+        """Serve a failed monitor read: ``last`` (a card's or the CPU's last
+        good sample) if it is at most ``stale_window_ticks`` ticks of
+        ``interval_s`` old (a fallback), else None (a skipped tick)."""
+        observer = self.observer
+        observer.fault_reaction("monitor_faults", t)
         max_age = self.hardening.stale_window_ticks * interval_s
-        return last if last is not None and (t - last.t) <= max_age else None
+        if last is not None and (t - last.t) <= max_age:
+            observer.fault_reaction("fallbacks", t, "ctrl_fallback")
+            return last
+        observer.fault_reaction("skipped_ticks", t, "ctrl_skip")
+        return None
 
     def _apply_gpu_frequencies(self, card: _Card, t: float, f_core: float,
                                f_mem: float) -> bool:
@@ -412,7 +387,7 @@ class GreenGpuController:
         False (after counting the actuation fault) when every attempt
         failed or was silently swallowed.
         """
-        telemetry = self.telemetry
+        observer = self.observer
 
         def attempt() -> None:
             card.actuator.set_frequencies(f_core, f_mem)
@@ -420,35 +395,23 @@ class GreenGpuController:
                 raise ActuationError("frequency write did not take effect")
 
         def on_retry(attempt_index: int, backoff_s: float, exc: Exception) -> None:
-            self._count("retries")
-            self._record_event("ctrl_retry", t, backoff_s)
-            telemetry.event("retry", t_sim=t, attempt=attempt_index,
-                            backoff_s=backoff_s, error=str(exc))
+            observer.retry(t, attempt_index, backoff_s, exc)
 
         try:
-            if self._tel_on:
-                with telemetry.span("freq_actuation"):
-                    call_with_retry(attempt, self.hardening.retry,
-                                    on_retry=on_retry)
-            else:
-                call_with_retry(attempt, self.hardening.retry,
-                                on_retry=on_retry)
+            self._retry(attempt, self.hardening.retry, on_retry=on_retry)
         except ActuationError:
-            self._count("actuation_faults")
-            self._record_event("ctrl_actuation_failed", t)
+            observer.fault_reaction("actuation_faults", t, "ctrl_actuation_failed")
             return False
         return True
 
-    def _note_tick_outcome(self, t: float, clean: bool) -> None:
+    def _watch(self, t: float, clean: bool) -> None:
         """Advance or reset the watchdog after a GPU scaling tick."""
         if clean:
             self._consecutive_failures = 0
             if self._degraded:
                 self._degraded = False
-                self._count("recoveries")
-                self._record_event("ctrl_degraded", t, 0.0)
-                self.telemetry.event("ladder_transition", t_sim=t,
-                                     state="recovered")
+                self.observer.fault_reaction("recoveries", t, "ctrl_degraded", 0.0,
+                                             state="recovered")
             return
         self._consecutive_failures += 1
         if (
@@ -456,13 +419,9 @@ class GreenGpuController:
             and self._consecutive_failures >= self.hardening.watchdog_threshold
         ):
             self._degraded = True
-            self._count("degraded_entries")
-            self._record_event("ctrl_degraded", t, 1.0)
-            self.telemetry.event("ladder_transition", t_sim=t,
-                                 state="degraded",
-                                 consecutive_failures=self._consecutive_failures)
-        if self._degraded:
-            self._enforce_safe_state()
+            self.observer.fault_reaction(
+                "degraded_entries", t, "ctrl_degraded", state="degraded",
+                consecutive_failures=self._consecutive_failures)
 
     def _enforce_safe_state(self) -> None:
         """Best-effort push of every card to peak (the watchdog's safe state).
@@ -486,135 +445,61 @@ class GreenGpuController:
     # -- tier 2 ticks -----------------------------------------------------------------
 
     def _scaling_tick(self, t: float) -> None:
-        if self._tel_on:
-            with self.telemetry.span("scaling_tick"):
-                self._scaling_tick_body(t)
-        else:
-            self._scaling_tick_body(t)
-
-    def _scaling_tick_body(self, t: float) -> None:
         # Clean: every card read a fresh sample and its write landed.
         clean = True
-        decided = False
+        outcome = None  # the last card decision, if any card decided
         for card in self._cards:
-            outcome = self._scale_card(card, t)
-            if outcome is None:
+            card_outcome = self._scale_card(card, t)
+            if card_outcome is None:
                 clean = False
             else:
-                decided = True
-                clean = clean and outcome[2] == "fresh" and outcome[3]
-        power_w: float | None = None
-        if decided and (self._tel_on or self.recorder is not None):
-            power_w = self._system.system_power()
-            self.telemetry.gauge("system_power_w").set(power_w, t=t)
-            self.telemetry.histogram("system_power_w_dist").observe(power_w)
-            if self.recorder is not None:
-                self.recorder.record("system_power_w", t, power_w)
-        self._note_tick_outcome(t, clean)
-        if self._audit_on:
-            # After _note_tick_outcome so `degraded` reflects whether the
-            # watchdog's safe state overrides this decision.  Audited
-            # controllers have one card (see attach), whose outcome this is.
-            if outcome is None:
-                self.audit.note_skip(t, degraded=self._degraded)
-                return
-            sample, decision, source, actuated = outcome
-            # weights=None: the trail replays the scaler at render time.
-            self.audit.note_scaling(
-                t, sample.u_core, sample.u_mem, decision, source,
-                actuated, self._degraded, None, power_w,
-            )
+                outcome = card_outcome
+                clean = clean and card_outcome[2] == "fresh" and card_outcome[3]
+        self._watch(t, clean)
+        if self._report_tick is not None:
+            # Before the safe state, so the power sample is the decision's.
+            self._report_tick(t, outcome, self._degraded)
+        if self._degraded:
+            self._enforce_safe_state()
 
     def _scale_card(self, card: _Card, t: float):
-        """One card's WMA step: read, decide, clamp, actuate, record.
+        """One card's WMA step: read, decide, clamp, report, actuate.
 
         Returns ``(sample, decision, source, actuated)``, or None when the
         card had no usable sample and kept its previous decision.
         """
-        telemetry = self.telemetry
-        tel_on = self._tel_on
         source = "fresh"
         try:
-            if tel_on:
-                with telemetry.span("monitor_read", device="gpu", **card.labels):
-                    sample = card.nvsmi.query()
-            else:
-                sample = card.nvsmi.query()
+            sample = card.query()
             card.last_sample = sample
         except MonitorError:
-            self._count("monitor_faults")
-            sample = self._stale_sample(card.last_sample, t,
-                                        self.config.scaling_interval_s)
+            sample = self._fallback_sample(card.last_sample, t,
+                                           self.config.scaling_interval_s)
             if sample is None:
-                # No usable data: skip the step, keep the previous decision.
-                self._count("skipped_ticks")
-                self._record_event("ctrl_skip", t)
-                return None
-            self._count("fallbacks")
-            self._record_event("ctrl_fallback", t)
+                return None  # no usable data: keep the previous decision
             source = "fallback"
-        if tel_on:
-            with telemetry.span("wma_update", **card.labels):
-                decision = card.scaler.step(sample.u_core, sample.u_mem)
-        else:
-            decision = card.scaler.step(sample.u_core, sample.u_mem)
-        decision = self._apply_ceiling(decision, card.gpu.spec)
-        if tel_on:
-            telemetry.event(
-                "wma_update", t_sim=t,
-                core_level=decision.core_level, mem_level=decision.mem_level,
-                f_core=decision.f_core, f_mem=decision.f_mem,
-                u_core=sample.u_core, u_mem=sample.u_mem,
-                w_max=float(card.scaler.table.weights.max()), **card.labels,
-            )
-            telemetry.gauge("wma_f_core_hz", **card.labels).set(decision.f_core, t=t)
-            telemetry.gauge("wma_f_mem_hz", **card.labels).set(decision.f_mem, t=t)
+        decision = self._apply_ceiling(card.step(sample.u_core, sample.u_mem),
+                                       card.gpu.spec)
+        if self._traced:
+            self.observer.card_decided(card, t, sample, decision)
         actuated = self._apply_gpu_frequencies(card, t, decision.f_core,
                                                decision.f_mem)
-        recorder = self.recorder
-        if recorder is not None:
-            u_core, u_mem, f_core, f_mem = card.channels
-            recorder.record(u_core, t, sample.u_core)
-            recorder.record(u_mem, t, sample.u_mem)
-            recorder.record(f_core, t, decision.f_core)
-            recorder.record(f_mem, t, decision.f_mem)
         return sample, decision, source, actuated
 
     def _ondemand_tick(self, t: float) -> None:
-        if self._tel_on:
-            with self.telemetry.span("ondemand_tick"):
-                self._ondemand_tick_body(t)
-        else:
-            self._ondemand_tick_body(t)
-
-    def _ondemand_tick_body(self, t: float) -> None:
-        assert self._system is not None and self._cpustat is not None
-        assert self.governor is not None
-        tel_on = self._tel_on
         try:
-            if tel_on:
-                with self.telemetry.span("monitor_read", device="cpu"):
-                    sample = self._cpustat.query()
-            else:
-                sample = self._cpustat.query()
+            sample = self._read_cpu()
             self._last_cpu_sample = sample
         except MonitorError:
-            self._count("monitor_faults")
-            sample = self._stale_sample(self._last_cpu_sample, t,
-                                        self.config.ondemand_interval_s)
+            sample = self._fallback_sample(self._last_cpu_sample, t,
+                                           self.config.ondemand_interval_s)
             if sample is None:
-                self._count("skipped_ticks")
-                self._record_event("ctrl_skip", t)
                 return
-            self._count("fallbacks")
-            self._record_event("ctrl_fallback", t)
         decision = self.governor.step(sample.u, self._system.cpu.f)
         if decision.changed:
             self._system.cpu.set_frequency(decision.f_target)
-            if tel_on:
-                self.telemetry.gauge("cpu_f_hz").set(decision.f_target, t=t)
-        if self.recorder is not None:
-            self.recorder.record_many(t, cpu_u=sample.u, cpu_f=decision.f_target)
+        if self._traced:
+            self.observer.ondemand_tick(t, sample, decision)
         if self._park_ok:
             self._maybe_park()
 
@@ -667,12 +552,7 @@ class GreenGpuController:
             deadline += period
         if skipped:
             self.governor.ticks += len(skipped)
-            u = 1.0 if busy else 0.0
-            if self.recorder is not None:
-                self.recorder.record_series(skipped, cpu_u=u, cpu_f=f)
-            if self._tel_on:
-                self.telemetry.counter("ondemand_ticks_skipped_total").inc(
-                    len(skipped))
+            self.observer.parked_span(skipped, 1.0 if busy else 0.0, f)
         if resume:
             if skipped:
                 self._cpustat.rebase(now - skipped[-1], busy)
@@ -703,42 +583,17 @@ class GreenGpuController:
         """Tier-1 boundary: feed the CPU's, card 0's and further cards'
         times, get the next CPU ratio.  Records carry the slowest card's
         time as ``tg``."""
-        if self.divider is None:
+        divider = self.divider
+        if divider is None:
             return self.ratio
-        tg_slowest = max((tg, *tgs))
-        now = self._system.now if self._system is not None else -1.0
+        r_prev = divider.r
         if self._degraded:
             # Watchdog safe state: hold the division steady rather than
             # learn from timings measured under faulty control.
-            self._count("frozen_divisions")
-            if self._system is not None:
-                self._record_event("ctrl_division_frozen", now)
-                if self.recorder is not None:
-                    self.recorder.record_many(
-                        now, division_r=self.divider.r, tc=tc, tg=tg_slowest
-                    )
-            if self._audit_on:
-                self.audit.note_division(
-                    now, tc, tg_slowest, r_prev=self.divider.r,
-                    r_next=self.divider.r, moved=False,
-                    held_by_safeguard=False, frozen=True,
-                )
-            return self.divider.r
-        r_prev = self.divider.r
-        decision = self.divider.update(tc, tg, *tgs)
-        r_next = self.divider.r
-        if self._audit_on:
-            self.audit.note_division(
-                now, tc, tg_slowest, r_prev=r_prev, r_next=r_next,
-                moved=decision.moved,
-                held_by_safeguard=decision.held_by_safeguard, frozen=False,
-            )
-        if self.telemetry.enabled and self._system is not None:
-            self.telemetry.event("division_update", t_sim=self._system.now,
-                                 r_next=r_next, tc=tc, tg=tg_slowest)
-            self.telemetry.gauge("division_r").set(r_next, t=self._system.now)
-        if self.recorder is not None and self._system is not None:
-            self.recorder.record_many(
-                self._system.now, division_r=r_next, tc=tc, tg=tg_slowest
-            )
-        return r_next
+            moved = held = False
+        else:
+            decision = divider.update(tc, tg, *tgs)
+            moved, held = decision.moved, decision.held_by_safeguard
+        self.observer.division(self._system.now, tc, max((tg, *tgs)), r_prev,
+                               divider.r, moved, held, frozen=self._degraded)
+        return divider.r

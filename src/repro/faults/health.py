@@ -6,12 +6,10 @@ two views bracket the robustness story: every injected fault must show up
 either as a controller reaction here (fallback, retry, skip, degradation)
 or as a verified-and-corrected write, never as silent corruption.
 
-Since the telemetry subsystem landed, the dataclass is a *view*: each
-field is backed by exactly one telemetry counter (named by
-:func:`counter_name`), the controller increments those counters, and
-``GreenGpuController.health`` materializes this record from them on
-access.  The dataclass API and its serialize round-trip are unchanged —
-only the storage moved.
+The dataclass is a *view*: each field is backed by one counter (named
+by :func:`counter_name`) that the controller's
+:class:`~repro.core.observer.ControlObserver` owns and increments, and
+``GreenGpuController.health`` reads this record from them.
 
 The record rides on :class:`~repro.runtime.metrics.RunResult` (which
 re-exports this class) so chaos benchmarks can assert on it and the CLI
@@ -63,8 +61,8 @@ def counter_name(field: str) -> str:
     """The telemetry counter backing one :class:`ControlHealth` field.
 
     This mapping is the single place the controller's health counters
-    are defined: the controller increments ``ctrl_<field>_total`` and
-    the ``health`` view reads the same counters back, so the legacy
-    dataclass and the exported metrics can never disagree.
+    are defined: the observer increments ``ctrl_<field>_total`` and the
+    ``health`` view reads the same counters back, so the dataclass and
+    the exported metrics can never disagree.
     """
     return f"ctrl_{field}_total"

@@ -10,13 +10,12 @@ so this module recreates those failure modes *on purpose*:
 - a :class:`FaultInjector` turns the plan into a seeded PCG64 draw
   stream, one uniform draw per decision point, so any run is
   bit-reproducible for a given seed;
-- every injected fault becomes a telemetry event and a
-  ``faults_injected_total{kind=...}`` counter bump (plus the legacy
-  ``fault_<kind>`` channel on the bound
-  :class:`~repro.sim.trace.TraceRecorder`), so chaos tests can prove no
-  injected fault was silently lost.  :attr:`FaultInjector.counts` is a
-  view over those counters — the telemetry registry is the only place
-  injected faults are tallied.
+- every injected fault is reported to the controller's
+  :class:`~repro.core.observer.ControlObserver`, which counts it as
+  ``faults_injected_total{kind=...}``, logs a telemetry event and writes
+  a ``fault_<kind>`` trace row, so chaos tests can prove no injected
+  fault was silently lost.  :attr:`FaultInjector.counts` is a view over
+  the observer's counters.
 
 The injector itself never touches a device; the wrappers in
 :mod:`repro.faults.wrappers` consult it at each monitor query /
@@ -26,12 +25,15 @@ frequency write and act on its verdicts.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields, replace
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.errors import ConfigError
 from repro.seeding import spawn_seed
-from repro.telemetry import NOOP, MetricsRegistry
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> faults)
+    from repro.core.observer import ControlObserver
 
 #: Every fault kind the injector can fire, mapped to its plan rate field.
 FAULT_KIND_RATES: dict[str, str] = {
@@ -158,29 +160,24 @@ def fault_profile(name: str, seed: int = 0) -> FaultPlan:
 class FaultInjector:
     """Seeded fault oracle consulted by the faulty device/monitor wrappers.
 
-    One injector drives one run.  It is bound to the run's sim clock
-    (for event timestamps and trace-driven episode scheduling) and
-    optionally to its :class:`~repro.sim.trace.TraceRecorder` at
-    controller attach time.
+    One injector drives one run.  Controller attach binds it to the run's
+    sim clock (timestamps, trace-driven stall episodes) and observer (the
+    tallies and logs of every injected fault; unbound, a sink-less one).
     """
 
     def __init__(self, plan: FaultPlan):
+        from repro.core.observer import ControlObserver
+
         self.plan = plan
         self._rng = np.random.default_rng(plan.seed)
         self._clock = None
-        self._recorder = None
         self._actuators: list = []
-        self._telemetry = NOOP
-        # Injection tallies must survive a disabled telemetry backend, so
-        # they fall back to a private registry (same single-definition
-        # principle as the controller's health counters).
-        self._metrics = MetricsRegistry()
-        self._counters: dict[str, object] = {}
+        self._observer = ControlObserver()
 
     # -- wiring ----------------------------------------------------------------
 
-    def bind(self, clock=None, recorder=None, telemetry=None) -> None:
-        """Attach the run's clock, trace recorder, and telemetry backend.
+    def bind(self, clock=None, observer: ControlObserver | None = None) -> None:
+        """Attach the run's clock and the observer of its faults.
 
         Trace-driven stall episodes from the plan are scheduled on the
         clock here (episodes already in the past are skipped).
@@ -195,24 +192,8 @@ class FaultInjector:
                     lambda t, d=duration: self._begin_scheduled_stall(t, d),
                     name="fault-stall-episode",
                 )
-        if recorder is not None:
-            self._recorder = recorder
-        if telemetry is not None and telemetry.enabled:
-            self._telemetry = telemetry
-            self._metrics = telemetry.registry
-            self._counters = {}
-
-    def _counter(self, kind: str):
-        counter = self._counters.get(kind)
-        if counter is None:
-            telemetry = self._telemetry
-            if telemetry.enabled:
-                counter = telemetry.counter("faults_injected_total", kind=kind)
-            else:
-                counter = self._metrics.counter("faults_injected_total",
-                                                kind=kind)
-            self._counters[kind] = counter
-        return counter
+        if observer is not None:
+            self._observer = observer
 
     def attach_actuator(self, actuator) -> None:
         """Register one card's faulty GPU actuator (stall episodes pin
@@ -221,7 +202,7 @@ class FaultInjector:
 
     def _begin_scheduled_stall(self, t: float, duration: float) -> None:
         for actuator in self._actuators:
-            self.record("device_stall")
+            self._observer.fault_injected("device_stall", self.now)
             actuator.begin_stall(duration)
 
     @property
@@ -232,7 +213,7 @@ class FaultInjector:
     # -- the draw stream -------------------------------------------------------
 
     def fire(self, kind: str) -> bool:
-        """Draw once for fault ``kind``; record and count it on a hit.
+        """Draw once for fault ``kind``; report it to the observer on a hit.
 
         A draw is consumed even when the rate is nonzero and misses, so
         the stream depends only on the seed and the call sequence.
@@ -242,25 +223,13 @@ class FaultInjector:
             return False
         if self._rng.random() >= rate:
             return False
-        self.record(kind)
+        self._observer.fault_injected(kind, self.now)
         return True
-
-    def record(self, kind: str) -> None:
-        """Count one injected fault; log it as a telemetry event and on
-        the trace recorder."""
-        self._counter(kind).inc()
-        self._telemetry.event("fault_injected", kind=kind, t_sim=self.now)
-        if self._recorder is not None:
-            self._recorder.record(f"fault_{kind}", self.now, 1.0)
 
     @property
     def counts(self) -> dict[str, int]:
-        """Injected-fault tallies by kind (a view over telemetry counters)."""
-        return {
-            kind: int(counter.value)
-            for kind, counter in sorted(self._counters.items())
-            if counter.value
-        }
+        """Injected-fault tallies by kind (a view over the observer's)."""
+        return self._observer.fault_counts
 
     @property
     def total_injected(self) -> int:

@@ -17,6 +17,9 @@ starts with a ``PYTHONPATH`` that leads to :mod:`repro` (a parent may
 reach it through a run-time ``sys.path`` edit), and restores the
 parent's own before its first fork (:data:`MAIN_ENV`).  So an attempt
 costs a fork and its job, and the forked worker runs no module body.
+A main module that starts an attempt at import, with no
+``if __name__ == "__main__":`` guard, kills that preload; the attempt
+then raises :class:`~repro.errors.HarnessError` naming the guard.
 """
 
 from __future__ import annotations
@@ -34,7 +37,7 @@ from multiprocessing import forkserver, spawn
 from multiprocessing.connection import wait as wait_fds
 from typing import Any, Iterable, Sequence
 
-from repro.errors import SerializationError
+from repro.errors import HarnessError, SerializationError
 from repro.harness.worker import (read_artifact, run_job_inline,
                                   worker_main, write_artifact)
 
@@ -154,7 +157,17 @@ class Attempt:
                   traceparent),
         )
         _ensure_server()
-        self.proc.start()
+        try:
+            self.proc.start()
+        except (EOFError, ConnectionError) as exc:
+            prepare = _preparation()
+            main = (prepare.get("init_main_from_path")
+                    or prepare.get("init_main_from_name") or "the main module")
+            raise HarnessError(
+                f"the forkserver exited before starting attempt {name!r}: it "
+                f"runs {main} once before its first fork, so code there that "
+                'starts attempts needs an `if __name__ == "__main__":` guard'
+            ) from exc
         self.artifact_path = artifact_path
         self.timeout_s = timeout_s
         self.deadline = deadline

@@ -1,9 +1,8 @@
 """Unified observability for the GreenGPU reproduction.
 
-One subsystem replaces the three ad-hoc counting mechanisms that grew
-alongside the control loop (``GreenGpuController._record_event`` string
-channels, the ``ControlHealth`` tallies, the harness journal's per-job
-fields) with a single instrumented path:
+One instrumented path for everything the system counts, times and
+explains (the controller reaches it through its one
+:class:`~repro.core.observer.ControlObserver`):
 
 - :class:`MetricsRegistry` — labeled counters, gauges, and histograms
   with streaming p50/p95/p99 percentiles (:mod:`repro.telemetry.registry`);

@@ -15,23 +15,20 @@ Hot-path contract
 -----------------
 
 The controller's scaling tick is the hottest loop in the system, so the
-``note_*`` methods do **no derivation**: they append one small tuple of
-values the tick already holds (the decision's loss arrays are shared,
-not copied).  Everything derived — the weight table, flip detection,
-runner-up margins, JSON encoding — happens in :meth:`AuditTrail.records`
-/ :meth:`write`, after the run.  CI budgets the audit-enabled tick at
-< 5 % over the bare tick (``benchmarks/check_telemetry_overhead.py
---audit-budget``).
+``note_*`` methods do **no derivation**: they append the few values the
+tick already holds.  Everything derived — the loss vectors,
+the weight table, flip detection, runner-up margins, JSON encoding —
+happens in :meth:`AuditTrail.records` / :meth:`write`, after the run.
+CI budgets the audit-enabled tick at < 5 % over the bare tick
+(``benchmarks/check_telemetry_overhead.py --audit-budget``).
 
-The loss vectors and the weight table are derived too.  Keeping a copy
-of the table per tick (36 floats) made the trail the tick's largest
-allocation — a fresh page of memory every few ticks — so the controller
-instead notes where its scaler starts (:meth:`AuditTrail.note_scaler`)
-and then each tick's inputs and outcome with ``weights=None``;
-:meth:`AuditTrail.records` replays a fresh
+Keeping a copy of the weight table per tick (36 floats) made the trail
+the tick's largest allocation, so the trail notes where the scaler
+starts (:meth:`AuditTrail.note_scaler`) and then each tick's inputs and
+outcome; :meth:`AuditTrail.records` replays a fresh
 :class:`~repro.core.wma.WmaFrequencyScaler` over the noted inputs, the
-same code on the same inputs, which reproduces every loss and weight bit
-for bit.
+same code on the same inputs, which reproduces every loss and weight
+bit for bit.
 
 Record schema (``audit.jsonl``, schema 1; see docs/observability.md):
 
@@ -56,13 +53,11 @@ import json
 import os
 from typing import TYPE_CHECKING, Any
 
-import numpy as np
-
 from repro.errors import SerializationError
 from repro.ioutil import atomic_write_text
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard (core -> telemetry)
-    from repro.core.wma import ScalingDecision, WmaFrequencyScaler
+    from repro.core.wma import WmaFrequencyScaler
 
 #: File name of the trail inside a run/telemetry directory.
 AUDIT_NAME = "audit.jsonl"
@@ -72,89 +67,63 @@ AUDIT_SCHEMA = 1
 _SKIP = object()    # sentinel tag for skipped-tick entries
 _SCALER = object()  # sentinel tag for the start of a fresh WMA scaler
 
+#: Slots per scaling-log entry.  The log is one flat list, not a list of
+#: tuples: a tuple kept per tick is a GC-tracked container, and the
+#: young-generation collections they trigger cost an audited tick more
+#: than the note itself.
+_STRIDE = 9
+_PAD = (None,) * _STRIDE
+
 
 class AuditTrail:
     """Append-only decision log with deferred derivation.
 
-    One trail observes one controller for one run.  ``note_scaling`` /
-    ``note_skip`` / ``note_division`` are the hot-path writers; the
-    derived, JSON-ready view is :meth:`records`.
+    One trail observes one controller for one run.  ``note_tick`` and
+    ``note_division`` are the hot-path writers; the derived, JSON-ready
+    view is :meth:`records`.
     """
 
     __slots__ = ("_scaling", "_division")
 
     def __init__(self) -> None:
-        self._scaling: list[tuple] = []
+        self._scaling: list = []  # flat, _STRIDE slots per entry
         self._division: list[tuple] = []
-
-    def __len__(self) -> int:
-        return len(self._scaling) + len(self._division)
-
-    @property
-    def n_scaling_ticks(self) -> int:
-        """Scaling ticks observed (decisions plus skips)."""
-        return len(self._scaling)
-
-    @property
-    def n_division_updates(self) -> int:
-        return len(self._division)
 
     # -- hot-path writers (no derivation, no JSON) ---------------------
 
     def note_scaler(self, scaler: "WmaFrequencyScaler") -> None:
         """Mark the start of a fresh WMA scaler (ladders and config kept).
 
-        Until the next mark, scaling notes with ``weights=None`` get their
-        loss vectors, frequencies and weights at render time by replaying
-        a fresh copy of the scaler over the noted utilizations — so every
-        step of the scaler must be noted.
+        Until the next mark, scaling notes get their loss vectors,
+        frequencies and weights at render time by replaying a fresh copy
+        of the scaler over the noted utilizations — so every step of the
+        scaler must be noted.
         """
-        self._scaling.append(
+        self._scaling.extend(
             (_SCALER, scaler.core_ladder, scaler.mem_ladder, scaler.config)
+            + _PAD[4:]
         )
 
-    def note_scaling(
-        self,
-        t: float,
-        u_core: float,
-        u_mem: float,
-        decision: "ScalingDecision",
-        source: str,
-        actuated: bool,
-        degraded: bool,
-        weights: np.ndarray | None,
-        power_w: float | None = None,
-    ) -> None:
-        """Record one WMA decision.
+    def note_tick(self, t: float, outcome: tuple | None, degraded: bool,
+                  power_w: float | None = None) -> None:
+        """Record one scaling tick.
 
-        ``weights`` is the table after this decision's update.  ``None``
-        keeps only the chosen levels and derives the rest at render time
-        (see :meth:`note_scaler`); otherwise the decision's evidence is
-        kept and the array copied, since its owner may write to it after
-        the note.
+        ``outcome`` is the card's ``(sample, decision, source, actuated)``,
+        or None for a tick skipped for want of a usable sample.  Only the
+        chosen levels are kept; the rest is derived at render time (see
+        :meth:`note_scaler`).
         """
-        entry = (t, u_core, u_mem, decision.core_level, decision.mem_level,
-                 source, actuated, degraded, power_w)
-        if weights is not None:
-            entry += ((decision.f_core, decision.f_mem, decision.core_loss,
-                       decision.mem_loss, np.array(weights, dtype=float)),)
-        self._scaling.append(entry)
+        if outcome is None:
+            self._scaling.extend((_SKIP, t, degraded) + _PAD[3:])
+            return
+        sample, decision, source, actuated = outcome
+        self._scaling.extend((t, sample.u_core, sample.u_mem, decision.core_level,
+                              decision.mem_level, source, actuated, degraded,
+                              power_w))
 
-    def note_skip(self, t: float, degraded: bool) -> None:
-        """Record a tick skipped for want of a usable sample."""
-        self._scaling.append((_SKIP, t, degraded))
-
-    def note_division(
-        self,
-        t: float,
-        tc: float,
-        tg: float,
-        r_prev: float,
-        r_next: float,
-        moved: bool,
-        held_by_safeguard: bool,
-        frozen: bool,
-    ) -> None:
+    def note_division(self, t: float, tc: float, tg: float, r_prev: float,
+                      r_next: float, moved: bool, held_by_safeguard: bool,
+                      frozen: bool) -> None:
         """Record one tier-1 division boundary."""
         self._division.append(
             (t, tc, tg, r_prev, r_next, moved, held_by_safeguard, frozen)
@@ -176,47 +145,43 @@ class AuditTrail:
         last_pair: tuple[int, int] | None = None
         replay: WmaFrequencyScaler | None = None
         tick = -1
-        for entry in self._scaling:
+        scaling = self._scaling
+        for i in range(0, len(scaling), _STRIDE):
+            entry = scaling[i:i + _STRIDE]
             if entry[0] is _SCALER:
-                replay = WmaFrequencyScaler(*entry[1:])
+                replay = WmaFrequencyScaler(*entry[1:4])
                 continue
             tick += 1
             if entry[0] is _SKIP:
-                _, t, degraded = entry
+                t, degraded = entry[1:3]
                 out.append({
                     "kind": "skip", "tick": tick, "t_sim": float(t),
                     "degraded": bool(degraded),
                 })
                 continue
             (t, u_core, u_mem, core_level, mem_level, source, actuated,
-             degraded, power_w, *evidence) = entry
+             degraded, power_w) = entry
             chosen = (int(core_level), int(mem_level))
-            if evidence:
-                f_core, f_mem, core_loss, mem_loss, weights = evidence[0]
-            elif replay is None:
-                raise ValueError("a scaling note without weights needs a "
-                                 "note_scaler() before it")
-            else:
-                derived = replay.step(u_core, u_mem)
-                core_loss, mem_loss = derived.core_loss, derived.mem_loss
-                weights = replay.table.weights
-                f_core = replay.core_ladder[chosen[0]]
-                f_mem = replay.mem_ladder[chosen[1]]
+            if replay is None:
+                raise ValueError("a scaling note needs a note_scaler() "
+                                 "before it")
+            derived = replay.step(u_core, u_mem)
+            weights = replay.table.weights
             _, runner_up, margin = best_and_runner_up(weights)
             record: dict[str, Any] = {
                 "kind": "scaling", "tick": tick, "t_sim": float(t),
                 "u_core": float(u_core), "u_mem": float(u_mem),
                 "source": source,
                 "core_level": chosen[0], "mem_level": chosen[1],
-                "f_core": float(f_core),
-                "f_mem": float(f_mem),
+                "f_core": float(replay.core_ladder[chosen[0]]),
+                "f_mem": float(replay.mem_ladder[chosen[1]]),
                 "runner_up": [int(runner_up[0]), int(runner_up[1])],
                 "margin": float(margin),
                 "flipped": last_pair is not None and chosen != last_pair,
                 "actuated": bool(actuated),
                 "degraded": bool(degraded),
-                "core_loss": [float(v) for v in core_loss],
-                "mem_loss": [float(v) for v in mem_loss],
+                "core_loss": [float(v) for v in derived.core_loss],
+                "mem_loss": [float(v) for v in derived.mem_loss],
                 "weights": [[float(v) for v in row] for row in weights],
             }
             if power_w is not None:

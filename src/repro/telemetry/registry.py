@@ -1,12 +1,11 @@
 """Labeled metric instruments: counters, gauges, histograms.
 
 The registry is the single source of truth for every count the system
-produces — controller health counters, injected-fault counts, harness
-job statistics — replacing the ad-hoc per-module tallies that used to
-live in ``ControlHealth``, ``FaultInjector.counts`` and the harness
-report.  An instrument is identified by ``(name, labels)``; fetching the
-same identity twice returns the same object, so hot paths can cache the
-instrument once and pay one attribute update per observation.
+produces: controller health counters, injected-fault counts, harness
+job statistics.  An instrument is identified by ``(name, labels)``;
+fetching the same identity twice returns the same object, so hot paths
+can cache the instrument once and pay one attribute update per
+observation.
 
 Histograms keep exact ``count/sum/min/max`` plus a bounded sample buffer
 for streaming percentiles: while under the cap every observation is

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core.observer import ControlObserver
 from repro.errors import ConfigError
 from repro.faults.injector import (
     FAULT_KIND_RATES,
@@ -84,7 +85,7 @@ class TestInjector:
         recorder = TraceRecorder()
         clock = SimClock()
         inj = FaultInjector(FaultPlan(seed=1, actuator_reject_rate=0.5))
-        inj.bind(clock=clock, recorder=recorder)
+        inj.bind(clock=clock, observer=ControlObserver(recorder=recorder))
         hits = 0
         for _ in range(50):
             clock.advance_by(1.0)

@@ -203,6 +203,45 @@ def test_job_env_does_not_depend_on_when_the_forkserver_started(tmp_path):
     assert seen["without"] is None
 
 
+MAIN_SCRIPT = """
+import sys
+from repro.harness.attempt import Attempt, wait_any
+
+def main():
+    attempt = Attempt("ok", "repro.harness._testjobs:ok", {}, sys.argv[1])
+    while (outcome := attempt.poll()) is None:
+        wait_any([attempt])
+    print(outcome.kind)
+
+"""
+
+
+@pytest.mark.parametrize("guarded", [True, False], ids=["guarded", "unguarded"])
+def test_main_module_without_a_guard_gets_a_typed_error(tmp_path, guarded):
+    """The forkserver runs the parent's main module before its first fork.
+    Unguarded, the script's attempt starts there again and kills the
+    server; the parent must then get a HarnessError naming the guard,
+    not the bare EOFError of the server's closed socket."""
+    script = tmp_path / "script.py"
+    script.write_text(MAIN_SCRIPT + ('if __name__ == "__main__":\n    main()\n'
+                                     if guarded else "main()\n"))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = (os.path.abspath(SRC) + os.pathsep
+                         + env.get("PYTHONPATH", ""))
+    proc = subprocess.run(
+        [sys.executable, str(script), str(tmp_path / "job.json")],
+        env=env, capture_output=True, text=True, timeout=120)
+    if guarded:
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == [SUCCESS]
+        return
+    assert proc.returncode == 1
+    last = proc.stderr.rstrip().splitlines()[-1]
+    assert last.startswith("repro.errors.HarnessError: ")
+    assert str(script) in last
+    assert 'if __name__ == "__main__":' in last
+
+
 class TestInline:
     def test_success_carries_payload_and_sha(self, tmp_path):
         artifact = str(tmp_path / "job.json")

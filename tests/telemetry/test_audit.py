@@ -82,25 +82,11 @@ class TestAuditTrail:
 
     def test_skip_notes_consume_a_tick(self):
         trail = AuditTrail()
-        trail.note_skip(1.0, degraded=False)
-        trail.note_skip(2.0, degraded=True)
+        trail.note_tick(1.0, None, degraded=False)
+        trail.note_tick(2.0, None, degraded=True)
         records = trail.records()
         assert [r["tick"] for r in records] == [0, 1]
         assert records[1]["degraded"] is True
-
-    def test_weights_are_copied_not_aliased(self):
-        from repro.core.wma import ScalingDecision
-
-        weights = np.ones((2, 2))
-        decision = ScalingDecision(
-            core_level=0, mem_level=0, f_core=1.0, f_mem=1.0,
-            core_loss=np.zeros(2), mem_loss=np.zeros(2),
-        )
-        trail = AuditTrail()
-        trail.note_scaling(0.0, 0.5, 0.5, decision, "fresh",
-                           actuated=True, degraded=False, weights=weights)
-        weights[0, 0] = 99.0  # the table mutates after the note
-        assert trail.records()[0]["weights"][0][0] == 1.0
 
     def test_written_file_is_valid_jsonl(self, run_dir):
         with open(run_dir / AUDIT_NAME, encoding="utf-8") as handle:
