@@ -5,8 +5,8 @@ the committed baseline (``BENCH_10.json``) transfers across machines:
 
 - **single_run** — one GreenGPU kmeans run on the fast engine vs the
   same run on a *legacy harness* that faithfully reproduces the pre-PR
-  hot path: per-call roofline estimates (no ``_cached_estimate``), lazy
-  queue-head scans on every query (no ``_current_head``), checked
+  hot path: per-call roofline estimates (no ``cached_estimate``), lazy
+  queue-head scans on every query (no ``current_head``), checked
   uncached power-model calls, the per-window meter loop, and the
   pop-and-push clock dispatch.  The two paths must be bit-identical
   (the run aborts if not) — the ratio is pure overhead removed, not a
@@ -63,6 +63,7 @@ from repro.experiments.common import scaled_config, scaled_options, scaled_workl
 from repro.harness.supervisor import run_jobs
 from repro.harness.suite_jobs import sweep_specs
 from repro.runtime.executor import run_workload
+from repro.sim.activity import ActivityQueue
 from repro.sim.cpu import CpuDevice
 from repro.sim.gpu import GpuDevice
 from repro.sim.platform import HeteroSystem
@@ -132,15 +133,14 @@ def _legacy_step(self, horizon=None):
     return dt
 
 
-#: (class, attribute, pre-PR implementation).  Replacing these five cache
+#: (class, attribute, pre-PR implementation).  Replacing these four cache
 #: reads with their recompute-every-call bodies plus the legacy step is
-#: exactly the seed engine; everything else is shared code.
+#: exactly the seed engine; everything else is shared code.  Both devices
+#: read the head and its estimate through their ``ActivityQueue``.
 _LEGACY_PATCHES = [
-    (GpuDevice, "_cached_estimate", lambda self, k: self._phase_estimate(k)),
-    (GpuDevice, "_current_head", lambda self: self._queue.head),
+    (ActivityQueue, "cached_estimate", lambda self, k: self._phase_estimate(k)),
+    (ActivityQueue, "current_head", lambda self: self.head),
     (GpuDevice, "instantaneous_power", GpuDevice.instantaneous_power_uncached),
-    (CpuDevice, "_cached_estimate", lambda self, k: self._phase_estimate(k)),
-    (CpuDevice, "_current_head", lambda self: self._queue.head),
     (CpuDevice, "instantaneous_power", CpuDevice.instantaneous_power_uncached),
     (HeteroSystem, "step", _legacy_step),
 ]

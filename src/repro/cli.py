@@ -293,9 +293,11 @@ def cmd_fleet(args: argparse.Namespace) -> int:
     import os
     import tempfile
 
+    from repro.analysis.html_report import FLEET_SUMMARY_NAME
     from repro.fleet import make_scenario
     from repro.fleet.shard import export_fleet_worker, shard_name
     from repro.fleet.sim import FleetSim
+    from repro.ioutil import atomic_write_text
 
     allocators = [name.strip() for name in args.allocator.split(",")
                   if name.strip()]
@@ -368,10 +370,9 @@ def cmd_fleet(args: argparse.Namespace) -> int:
                 summary.gauge("run_time_s").set(
                     result.makespan_s, t=result.makespan_s)
                 merge_directory(args.telemetry, extra=[summary])
-                with open(os.path.join(args.telemetry,
-                                       "fleet_summary.json"), "w",
-                          encoding="utf-8") as fh:
-                    json.dump(result.to_dict(), fh, indent=2, sort_keys=True)
+                atomic_write_text(
+                    os.path.join(args.telemetry, FLEET_SUMMARY_NAME),
+                    json.dumps(result.to_dict(), indent=2, sort_keys=True))
                 print(f"telemetry merged into {args.telemetry} "
                       f"(render with: greengpu report {args.telemetry})",
                       file=sys.stderr)
@@ -394,8 +395,8 @@ def cmd_fleet(args: argparse.Namespace) -> int:
             print(f"\nlowest fleet energy: {best['allocator']} "
                   f"({best['energy_j'] / 1e6:.3f} MJ)")
         if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                json.dump(summaries, fh, indent=2, sort_keys=True)
+            atomic_write_text(
+                args.out, json.dumps(summaries, indent=2, sort_keys=True))
             print(f"summary written to {args.out}", file=sys.stderr)
         return 0
 

@@ -509,23 +509,28 @@ class SimulationService:
 
         Extends the *request* kwargs — never mutating them, so the
         content-addressed cache key stays a pure function of the request
-        — with telemetry export and trace propagation when the service
-        runs with a telemetry directory.  The traceparent travels as an
-        explicit kwarg, never through the daemon's environment.
+        — with telemetry export when the service runs with a telemetry
+        directory.
         """
         kwargs = dict(record.request.kwargs())
         if self.config.telemetry_dir:
             kwargs["telemetry_dir"] = self.config.telemetry_dir
             kwargs["job_name"] = record.job_id
-            if record.trace is not None:
-                kwargs["traceparent"] = record.trace.to_traceparent()
         return kwargs
 
     async def _attempt(self, record: JobRecord) -> attempt.AttemptOutcome:
-        """One attempt in a worker process, killed at timeout or deadline."""
+        """One attempt in a worker process, killed at timeout or deadline.
+
+        The job's trace position travels as the attempt's ``traceparent``
+        (the worker installs it as ``GREENGPU_TRACEPARENT``), as it does
+        for supervised jobs, never through the daemon's environment.
+        """
+        trace = record.trace
         worker = attempt.Attempt(record.job_id, JOB_TARGET,
                                  self._job_kwargs(record),
                                  self.run_dir.artifact_path(record.job_id),
+                                 traceparent=(None if trace is None
+                                              else trace.to_traceparent()),
                                  timeout_s=self.config.job_timeout_s,
                                  deadline=record.deadline_monotonic)
         self.running_procs[record.job_id] = worker.proc

@@ -29,31 +29,29 @@ from repro.experiments.common import (scaled_config, scaled_options,
                                       scaled_workload)
 from repro.runtime.executor import run_workload
 from repro.telemetry import Telemetry, export_worker
-from repro.telemetry.tracecontext import TraceContext
 
 
 def run_simulation(workload: str, policy: str, n_iterations: int,
                    time_scale: float,
                    telemetry_dir: str | None = None,
-                   job_name: str | None = None,
-                   traceparent: str | None = None) -> dict[str, Any]:
+                   job_name: str | None = None) -> dict[str, Any]:
     """One service submission: run ``workload`` under ``policy``.
 
     Deterministic in all simulation arguments (the simulator is seeded
     and event-ordered), which is what makes the content-addressed cache
-    key over those kwargs a sound dedup address.  The three telemetry
+    key over those kwargs a sound dedup address.  The two telemetry
     kwargs are *not* part of the cache key — the daemon appends them
     after admission — so observability never perturbs dedup.  With a
     ``telemetry_dir``, the run's spans export under
-    ``<dir>/workers/<job_name>/`` rooted at ``traceparent``, which is
-    how a served job's worker spans stitch under the admitting HTTP
-    request in the merged trace.
+    ``<dir>/workers/<job_name>/`` rooted at the ambient trace context
+    (the attempt's ``GREENGPU_TRACEPARENT``), which is how a served
+    job's worker spans stitch under the admitting HTTP request in the
+    merged trace.
     """
     telemetry = None
     if telemetry_dir is not None:
         telemetry = Telemetry(base_labels={"workload": workload,
-                                           "policy": policy},
-                              trace=TraceContext.parse(traceparent))
+                                           "policy": policy})
 
     result = run_workload(
         scaled_workload(workload, time_scale),

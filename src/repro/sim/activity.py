@@ -14,14 +14,19 @@ Devices execute a FIFO queue of *activities*.  Two kinds exist:
 
 The executor composes iterations out of these primitives:
 H2D transfer -> kernel -> D2H transfer on the GPU; kernel on the CPU.
+Each device runs its FIFO through one :class:`ActivityQueue`.
 """
 
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from repro.errors import SimulationError, WorkloadError
+from repro.sim.perf import ExecutionEstimate
+
+_EPS = 1e-12
 
 
 @dataclass(frozen=True, slots=True)
@@ -149,28 +154,133 @@ class TransferActivity(Activity):
 
 
 class ActivityQueue:
-    """FIFO of activities with O(1) head access."""
+    """FIFO of activities, and the one engine that runs it on a device.
 
-    __slots__ = ("_queue",)
+    Each device (:class:`~repro.sim.gpu.GpuDevice`,
+    :class:`~repro.sim.cpu.CpuDevice`) owns one queue and hands it
+    ``phase_estimate``: the device's from-scratch roofline estimate of a
+    kernel's current phase at its present rates.  The queue keeps what
+    does not depend on the device: event time, head progress, the
+    zero-time drain, and the epoch caches.
 
-    def __init__(self) -> None:
+    Hot-path contract: the head and the head phase's estimate are
+    constant between *epochs*.  :attr:`epoch` bumps on every state change
+    that can move either: a push, a clear, a phase rollover or a head
+    completion, and whatever the device reports through :meth:`bump` (a
+    frequency change, a spin transition).  Both caches recompute lazily
+    when it does, and a device keys its power cache on it too.  See
+    ``docs/performance.md`` for the invariant and the paired-oracle test
+    that pins it.
+    """
+
+    __slots__ = ("_queue", "_phase_estimate", "epoch", "_head", "_head_epoch",
+                 "_est", "_est_epoch")
+
+    def __init__(
+        self, phase_estimate: Callable[[KernelActivity], ExecutionEstimate]
+    ) -> None:
         self._queue: deque[Activity] = deque()
+        self._phase_estimate = phase_estimate
+        self.epoch = 0
+        self._head: Activity | None = None
+        self._head_epoch = -1
+        self._est: ExecutionEstimate | None = None
+        self._est_epoch = -1
+
+    def bump(self) -> None:
+        """Invalidate the epoch caches (a state change moved them)."""
+        self.epoch += 1
 
     def push(self, activity: Activity) -> None:
         self._queue.append(activity)
+        self.epoch += 1
+
+    def clear(self) -> None:
+        self._queue.clear()
+        self.epoch += 1
 
     @property
     def head(self) -> Activity | None:
+        """First unfinished activity, by a done-scan (uncached)."""
         while self._queue and self._queue[0].done:
             self._queue.popleft()
         return self._queue[0] if self._queue else None
 
-    @property
-    def busy(self) -> bool:
-        return self.head is not None
+    def current_head(self) -> Activity | None:
+        """:attr:`head`, scanned once per epoch.
 
-    def __len__(self) -> int:
-        return sum(1 for a in self._queue if not a.done)
+        Every head transition bumps the epoch, so the lazy done-scan only
+        needs to run once per epoch instead of on every hot-path query.
+        """
+        if self._head_epoch != self.epoch:
+            self._head = self.head
+            self._head_epoch = self.epoch
+        return self._head
 
-    def clear(self) -> None:
-        self._queue.clear()
+    def cached_estimate(self, kernel: KernelActivity) -> ExecutionEstimate:
+        """Roofline estimate for the head phase, constant within an epoch."""
+        if self._est_epoch != self.epoch:
+            self._est = self._phase_estimate(kernel)
+            self._est_epoch = self.epoch
+        return self._est
+
+    def time_to_event(self) -> float | None:
+        """Seconds until the head activity finishes, or None when idle."""
+        head = self.current_head()
+        if head is None:
+            return None
+        if isinstance(head, TransferActivity):
+            return head.remaining_s
+        return (1.0 - head.phase_fraction) * self.cached_estimate(head).seconds
+
+    def advance(self, dt: float) -> bool:
+        """Run the head for ``dt`` seconds; True when an activity ran.
+
+        ``dt`` must be non-negative and must not run past the next event
+        (the platform loop guarantees both by construction).  A zero
+        ``dt`` runs nothing but still completes zero-duration heads.
+        """
+        if dt < 0.0:
+            raise SimulationError("dt must be non-negative")
+        if dt == 0.0:
+            self._drain_zero_time_heads()
+            return False
+        head = self.current_head()
+        if head is None:
+            return False
+        if isinstance(head, TransferActivity):
+            seconds = None
+            limit = head.remaining_s
+        else:
+            seconds = self.cached_estimate(head).seconds
+            left = 1.0 - head.phase_fraction
+            limit = left * seconds
+        if dt > limit + 1e-9:
+            raise SimulationError(f"advance({dt}) past next event at {limit}")
+        if seconds is None:
+            head.advance_time(min(dt, limit))
+            if head.done:
+                self.epoch += 1
+        else:
+            index = head.phase_index
+            head.advance_fraction(left if seconds == 0.0 else min(dt / seconds, left))
+            if head.done or head.phase_index != index:
+                self.epoch += 1
+        self._drain_zero_time_heads()
+        return True
+
+    def _drain_zero_time_heads(self) -> None:
+        """Complete queued activities that take zero time at current rates."""
+        while True:
+            head = self.current_head()
+            if head is None:
+                return
+            if isinstance(head, TransferActivity):
+                if head.remaining_s > _EPS:
+                    return
+                head.advance_time(head.remaining_s)
+            elif self.cached_estimate(head).seconds > _EPS:
+                return
+            else:
+                head.advance_fraction(1.0 - head.phase_fraction)
+            self.epoch += 1

@@ -879,7 +879,7 @@ class _BatchEngine:
             c_newf = self.c_frac + cdf
             c_roll = ck & (c_newf >= _ROLL)
             self.c_frac = np.where(ck & ~c_roll, c_newf, self.c_frac)
-            # Scalar advance() always ends in _drain_zero_time_heads, which
+            # ActivityQueue.advance always ends in _drain_zero_time_heads, which
             # also completes kernels whose estimate is sub-epsilon, so the
             # est <= eps terms are part of the completion rule, not just
             # the rolled-fraction case.

@@ -24,17 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import FrequencyError, SimulationError
-from repro.sim.activity import (
-    Activity,
-    ActivityQueue,
-    KernelActivity,
-    TransferActivity,
-)
+from repro.sim.activity import ActivityQueue, KernelActivity
 from repro.sim.frequency import FrequencyLadder
 from repro.sim.perf import ExecutionEstimate, RooflineModel
 from repro.sim.power import CpuPowerModel
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,12 +55,17 @@ class CpuSpec:
 
 
 class CpuDevice:
-    """Stateful simulated CPU (see module docstring)."""
+    """Stateful simulated CPU (see module docstring).
+
+    Its FIFO runs on an :class:`~repro.sim.activity.ActivityQueue`, as
+    :class:`~repro.sim.gpu.GpuDevice`'s does; the package adds its
+    P-state, spin, integrals and a power cache keyed on the queue's epoch.
+    """
 
     def __init__(self, spec: CpuSpec):
         self.spec = spec
         self._f = spec.ladder.peak
-        self._queue = ActivityQueue()
+        self._queue = ActivityQueue(self._phase_estimate)
         self._spinning = False
         # /proc/stat-style integrals (monotonic).
         self.busy_seconds = 0.0          # working or spinning
@@ -77,27 +75,17 @@ class CpuDevice:
         self.spin_energy_j = 0.0
         self.elapsed_seconds = 0.0
         self.freq_transitions = 0
-        # Epoch-keyed caches; same contract as GpuDevice (docs/performance.md).
-        self._epoch = 0
         self._power_epoch = -1
         self._power_w = 0.0
-        self._est_epoch = -1
-        self._est: ExecutionEstimate | None = None
-        self._head_epoch = -1
-        self._head: Activity | None = None
         self._refresh_rates()
 
     def _refresh_rates(self) -> None:
         self._f_ratio = self._f / self.spec.ladder.peak
         self._compute_rate = self.spec.peak_compute_rate * self._f_ratio
 
-    def _bump(self) -> None:
-        """Invalidate the power/estimate caches (state-change epoch)."""
-        self._epoch += 1
-
     def invalidate_caches(self) -> None:
         """Public cache invalidation (reference path and tests)."""
-        self._bump()
+        self._queue.bump()
 
     # -- P-state control (cpufreq surface) -------------------------------------
 
@@ -117,7 +105,7 @@ class CpuDevice:
             raise FrequencyError(f"{f} Hz is not a P-state of {self.spec.name}")
         if f != self._f:
             self.freq_transitions += 1
-            self._bump()
+            self._queue.bump()
         self._f = f
         self._refresh_rates()
 
@@ -140,38 +128,36 @@ class CpuDevice:
     def submit_kernel(self, kernel: KernelActivity) -> None:
         """Enqueue a CPU kernel (the OpenMP share of an iteration)."""
         self._queue.push(kernel)
-        self._bump()
 
     @property
     def has_work(self) -> bool:
         """True while queued kernels are unfinished (spin does not count)."""
-        return self._current_head() is not None
+        return self._queue.current_head() is not None
 
     @property
     def busy(self) -> bool:
         """True while working or spinning (what /proc/stat reports)."""
-        return self._current_head() is not None or self._spinning
+        return self._queue.current_head() is not None or self._spinning
 
     def spin(self) -> None:
         """Enter busy-wait (synchronized GPU communication)."""
         if not self._spinning:
             self._spinning = True
-            self._bump()
+            self._queue.bump()
 
     def stop_spin(self) -> None:
         """Leave busy-wait."""
         if self._spinning:
             self._spinning = False
-            self._bump()
+            self._queue.bump()
 
     @property
     def spinning(self) -> bool:
         return self._spinning
 
     def cancel_all(self) -> None:
-        self._queue.clear()
         self._spinning = False
-        self._bump()
+        self._queue.clear()
 
     # -- simulation stepping --------------------------------------------------
 
@@ -180,51 +166,27 @@ class CpuDevice:
         return self.spec.roofline.estimate(
             phase.flops,
             phase.bytes,
-            self.compute_rate,
+            self._compute_rate,
             self.spec.host_bandwidth,
             phase.stall_s,
         )
 
-    def _cached_estimate(self, kernel: KernelActivity) -> ExecutionEstimate:
-        """Roofline estimate for the head phase, constant within an epoch."""
-        if self._est_epoch != self._epoch:
-            self._est = self._phase_estimate(kernel)
-            self._est_epoch = self._epoch
-        return self._est
-
-    def _current_head(self) -> Activity | None:
-        """Head activity, constant within an epoch (see GpuDevice)."""
-        if self._head_epoch != self._epoch:
-            self._head = self._queue.head
-            self._head_epoch = self._epoch
-        return self._head
-
     def time_to_event(self) -> float | None:
         """Seconds to the next internal event; None when idle or spinning."""
-        head = self._current_head()
-        if head is None:
-            return None
-        if isinstance(head, TransferActivity):
-            return head.remaining_s
-        assert isinstance(head, KernelActivity)
-        est = self._cached_estimate(head)
-        if est.seconds == 0.0:
-            return 0.0
-        return (1.0 - head.phase_fraction) * est.seconds
+        return self._queue.time_to_event()
 
     def instantaneous_utilization(self) -> float:
         """Package utilization as /proc/stat would report it."""
-        if self._current_head() is not None or self._spinning:
-            return 1.0
-        return 0.0
+        return 1.0 if self.busy else 0.0
 
     def instantaneous_power(self) -> float:
-        """Current package power in watts (epoch-cached)."""
-        if self._power_epoch != self._epoch:
+        """Current package power in watts (cached per queue epoch)."""
+        epoch = self._queue.epoch
+        if self._power_epoch != epoch:
             self._power_w = self.spec.power.power_unchecked(
                 self._f_ratio, self.instantaneous_utilization()
             )
-            self._power_epoch = self._epoch
+            self._power_epoch = epoch
         return self._power_w
 
     def instantaneous_power_uncached(self) -> float:
@@ -239,62 +201,18 @@ class CpuDevice:
         )
 
     def advance(self, dt: float) -> None:
-        """Advance the device by ``dt`` seconds of simulated time."""
-        if dt < 0.0:
-            raise SimulationError("dt must be non-negative")
-        if dt == 0.0:
-            self._drain_zero_time_heads()
-            return
-        limit = self.time_to_event()
-        if limit is not None and dt > limit + 1e-9:
-            raise SimulationError(f"advance({dt}) past next CPU event at {limit}")
+        """Advance the device by ``dt`` seconds of simulated time
+        (:meth:`ActivityQueue.advance` checks ``dt``)."""
         power = self.instantaneous_power()
-        self.energy_j += power * dt
-        self.elapsed_seconds += dt
-        head = self._current_head()
-        if head is not None:
+        if self._queue.advance(dt):
             self.busy_seconds += dt
             self.work_seconds += dt
         elif self._spinning:
             self.busy_seconds += dt
             self.spin_seconds += dt
             self.spin_energy_j += power * dt
-
-        if head is not None:
-            if isinstance(head, TransferActivity):
-                head.advance_time(min(dt, head.remaining_s))
-                if head.done:
-                    self._bump()
-            else:
-                assert isinstance(head, KernelActivity)
-                est = self._cached_estimate(head)
-                index = head.phase_index
-                if est.seconds == 0.0:
-                    head.advance_fraction(1.0 - head.phase_fraction)
-                else:
-                    head.advance_fraction(
-                        min(dt / est.seconds, 1.0 - head.phase_fraction)
-                    )
-                if head.done or head.phase_index != index:
-                    self._bump()
-        self._drain_zero_time_heads()
-
-    def _drain_zero_time_heads(self) -> None:
-        while True:
-            head = self._current_head()
-            if head is None:
-                return
-            if isinstance(head, TransferActivity):
-                if head.remaining_s > _EPS:
-                    return
-                head.advance_time(head.remaining_s)
-            else:
-                assert isinstance(head, KernelActivity)
-                est = self._cached_estimate(head)
-                if est.seconds > _EPS:
-                    return
-                head.advance_fraction(1.0 - head.phase_fraction)
-            self._bump()
+        self.energy_j += power * dt
+        self.elapsed_seconds += dt
 
     # -- Fig. 6c emulation helper -------------------------------------------------
 

@@ -24,12 +24,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from repro.errors import FrequencyError, SimulationError
-from repro.sim.activity import ActivityQueue, Activity, KernelActivity, TransferActivity
+from repro.sim.activity import ActivityQueue, KernelActivity, TransferActivity
 from repro.sim.frequency import FrequencyLadder
 from repro.sim.perf import ExecutionEstimate, RooflineModel
 from repro.sim.power import GpuPowerModel
-
-_EPS = 1e-12
 
 
 @dataclass(frozen=True)
@@ -62,20 +60,17 @@ class GpuSpec:
 class GpuDevice:
     """Stateful simulated GPU (see module docstring).
 
-    Hot-path contract: instantaneous power and the head phase's roofline
-    estimate are constant between *epochs*.  The epoch counter bumps on
-    every state change that can move either quantity — a frequency
-    change, a queue mutation, a phase rollover, or a head completion —
-    and the cached values are lazily recomputed when it does.  See
-    ``docs/performance.md`` for the invariant and the paired-oracle test
-    that pins it.
+    Its FIFO runs on an :class:`~repro.sim.activity.ActivityQueue`, which
+    keeps the head, the head phase's estimate and event time per epoch;
+    the card adds its clocks, launch overhead, integrals and a power
+    cache keyed on the queue's epoch (``docs/performance.md``).
     """
 
     def __init__(self, spec: GpuSpec):
         self.spec = spec
         self._f_core = spec.core_ladder.floor
         self._f_mem = spec.mem_ladder.floor
-        self._queue = ActivityQueue()
+        self._queue = ActivityQueue(self._phase_estimate)
         # Hardware-counter-style integrals, all monotonically increasing.
         self.busy_core_seconds = 0.0
         self.busy_mem_seconds = 0.0
@@ -84,14 +79,8 @@ class GpuDevice:
         self.elapsed_seconds = 0.0
         self.kernel_launches = 0
         self.freq_transitions = 0
-        # Epoch-keyed caches (see class docstring).
-        self._epoch = 0
         self._power_epoch = -1
         self._power_w = 0.0
-        self._est_epoch = -1
-        self._est: ExecutionEstimate | None = None
-        self._head_epoch = -1
-        self._head: Activity | None = None
         self._refresh_rates()
 
     def _refresh_rates(self) -> None:
@@ -100,13 +89,9 @@ class GpuDevice:
         self._compute_rate = self.spec.peak_compute_rate * self._f_core_ratio
         self._bandwidth = self.spec.peak_bandwidth * self._f_mem_ratio
 
-    def _bump(self) -> None:
-        """Invalidate the power/estimate caches (state-change epoch)."""
-        self._epoch += 1
-
     def invalidate_caches(self) -> None:
         """Public cache invalidation (reference path and tests)."""
-        self._bump()
+        self._queue.bump()
 
     # -- frequency control (nvidia-settings surface) --------------------------
 
@@ -142,7 +127,7 @@ class GpuDevice:
             raise FrequencyError(f"memory frequency {f_mem} not in ladder")
         if f_core != self._f_core or f_mem != self._f_mem:
             self.freq_transitions += 1
-            self._bump()
+            self._queue.bump()
         self._f_core = f_core
         self._f_mem = f_mem
         self._refresh_rates()
@@ -179,80 +164,49 @@ class GpuDevice:
             )
         self._queue.push(kernel)
         self.kernel_launches += 1
-        self._bump()
 
     def submit_transfer(self, transfer: TransferActivity) -> None:
         """Enqueue a DMA transfer (duration fixed by the bus model)."""
         self._queue.push(transfer)
-        self._bump()
 
     @property
     def busy(self) -> bool:
         """True while any queued activity is unfinished."""
-        return self._current_head() is not None
+        return self._queue.current_head() is not None
 
     def cancel_all(self) -> None:
         """Drop all queued work (used by tests and failure injection)."""
         self._queue.clear()
-        self._bump()
 
     # -- simulation stepping ----------------------------------------------------
 
     def _phase_estimate(self, kernel: KernelActivity) -> ExecutionEstimate:
         phase = kernel.current_phase
         return self.spec.roofline.estimate(
-            phase.flops, phase.bytes, self.compute_rate, self.bandwidth, phase.stall_s
+            phase.flops, phase.bytes, self._compute_rate, self._bandwidth, phase.stall_s
         )
-
-    def _cached_estimate(self, kernel: KernelActivity) -> ExecutionEstimate:
-        """Roofline estimate for the head phase, constant within an epoch."""
-        if self._est_epoch != self._epoch:
-            self._est = self._phase_estimate(kernel)
-            self._est_epoch = self._epoch
-        return self._est
-
-    def _current_head(self) -> Activity | None:
-        """Head activity, constant within an epoch.
-
-        Every head transition (submit, cancel, completion, phase rollover)
-        bumps the epoch, so the queue's lazy done-scan only needs to run
-        once per epoch instead of on every hot-path query.
-        """
-        if self._head_epoch != self._epoch:
-            self._head = self._queue.head
-            self._head_epoch = self._epoch
-        return self._head
 
     def time_to_event(self) -> float | None:
         """Seconds until the head activity finishes, or None when idle."""
-        head = self._current_head()
-        if head is None:
-            return None
-        if isinstance(head, TransferActivity):
-            return head.remaining_s
-        assert isinstance(head, KernelActivity)
-        est = self._cached_estimate(head)
-        if est.seconds == 0.0:
-            return 0.0
-        return (1.0 - head.phase_fraction) * est.seconds
+        return self._queue.time_to_event()
 
     def instantaneous_utilization(self) -> tuple[float, float]:
         """Current (u_core, u_mem); zero when idle or stalled in a transfer."""
-        head = self._current_head()
+        head = self._queue.current_head()
         if head is None or isinstance(head, TransferActivity):
             return 0.0, 0.0
-        assert isinstance(head, KernelActivity)
-        est = self._cached_estimate(head)
+        est = self._queue.cached_estimate(head)
         return est.u_core, est.u_mem
 
     def instantaneous_power(self) -> float:
-        """Current card power in watts (epoch-cached)."""
-        if self._power_epoch != self._epoch:
+        """Current card power in watts (cached per queue epoch)."""
+        epoch = self._queue.epoch
+        if self._power_epoch != epoch:
             u_core, u_mem = self.instantaneous_utilization()
             self._power_w = self.spec.power.power_unchecked(
                 self._f_core_ratio, self._f_mem_ratio, u_core, u_mem
             )
-            self._power_epoch = self._epoch
+            self._power_epoch = epoch
         return self._power_w
 
     def instantaneous_power_uncached(self) -> float:
@@ -267,7 +221,6 @@ class GpuDevice:
         if head is None or isinstance(head, TransferActivity):
             u_core, u_mem = 0.0, 0.0
         else:
-            assert isinstance(head, KernelActivity)
             est = self._phase_estimate(head)
             u_core, u_mem = est.u_core, est.u_mem
         return self.spec.power.power(
@@ -280,61 +233,15 @@ class GpuDevice:
     def advance(self, dt: float) -> None:
         """Advance the device by ``dt`` seconds of simulated time.
 
-        ``dt`` must not run past the next internal event (the platform
-        loop guarantees this by construction).  Utilization and energy
-        integrals accumulate, and the head activity progresses.
+        Utilization and energy integrals accumulate at the rates in force
+        before the step, and the head activity progresses
+        (:meth:`ActivityQueue.advance` checks ``dt``).
         """
-        if dt < 0.0:
-            raise SimulationError("dt must be non-negative")
-        if dt == 0.0:
-            # Still let zero-duration phases complete.
-            self._drain_zero_time_heads()
-            return
-        limit = self.time_to_event()
-        if limit is not None and dt > limit + 1e-9:
-            raise SimulationError(
-                f"advance({dt}) past next GPU event at {limit}"
-            )
         u_core, u_mem = self.instantaneous_utilization()
-        self.energy_j += self.instantaneous_power() * dt
+        power = self.instantaneous_power()
+        if self._queue.advance(dt):
+            self.busy_seconds += dt
+        self.energy_j += power * dt
         self.busy_core_seconds += u_core * dt
         self.busy_mem_seconds += u_mem * dt
-        head = self._current_head()
-        if head is not None:
-            self.busy_seconds += dt
         self.elapsed_seconds += dt
-        if head is None:
-            return
-        if isinstance(head, TransferActivity):
-            head.advance_time(min(dt, head.remaining_s))
-            if head.done:
-                self._bump()
-        else:
-            assert isinstance(head, KernelActivity)
-            est = self._cached_estimate(head)
-            index = head.phase_index
-            if est.seconds == 0.0:
-                head.advance_fraction(1.0 - head.phase_fraction)
-            else:
-                head.advance_fraction(min(dt / est.seconds, 1.0 - head.phase_fraction))
-            if head.done or head.phase_index != index:
-                self._bump()
-        self._drain_zero_time_heads()
-
-    def _drain_zero_time_heads(self) -> None:
-        """Complete any queued activities that take zero time at current rates."""
-        while True:
-            head = self._current_head()
-            if head is None:
-                return
-            if isinstance(head, TransferActivity):
-                if head.remaining_s > _EPS:
-                    return
-                head.advance_time(head.remaining_s)
-            else:
-                assert isinstance(head, KernelActivity)
-                est = self._cached_estimate(head)
-                if est.seconds > _EPS:
-                    return
-                head.advance_fraction(1.0 - head.phase_fraction)
-            self._bump()

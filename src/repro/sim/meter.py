@@ -5,9 +5,9 @@ the wall outlet and the desktop box (CPU, motherboard, disk, main memory)
 and *Meter2* between the wall and the dedicated ATX supply powering the GPU
 card.  We reproduce both boundaries:
 
-- each meter sums one or more instantaneous power *sources* (callables)
-  plus a constant overhead (motherboard/disk for Meter1, PSU loss for
-  Meter2), divided by a supply efficiency;
+- each meter reads one instantaneous power *source* (a callable) plus a
+  constant overhead (motherboard/disk for Meter1, PSU loss for Meter2),
+  divided by a supply efficiency;
 - the exact energy integral is maintained continuously (power is piecewise
   constant between simulator events, so this is exact);
 - a WattsUp-style 1 Hz sample log is also kept for trace realism, recording
@@ -29,19 +29,19 @@ from repro.errors import ConfigError, MeterError
 
 
 class PowerMeter:
-    """Energy-integrating wall meter over a set of power sources."""
+    """Energy-integrating wall meter over one power source."""
 
     def __init__(
         self,
         name: str,
-        sources: list[Callable[[], float]],
+        source: Callable[[], float],
         overhead_w: float = 0.0,
         efficiency: float = 1.0,
         sample_period_s: float = 1.0,
         sample_log_cap: int | None = None,
     ):
-        if not sources:
-            raise ConfigError("a meter needs at least one power source")
+        if not callable(source):
+            raise ConfigError("a meter's power source must be a callable")
         if overhead_w < 0.0:
             raise ConfigError("overhead must be non-negative")
         if not 0.0 < efficiency <= 1.0:
@@ -51,8 +51,7 @@ class PowerMeter:
         if sample_log_cap is not None and sample_log_cap < 2:
             raise ConfigError("sample_log_cap must be at least 2")
         self.name = name
-        self._sources = list(sources)
-        self._single = self._sources[0] if len(self._sources) == 1 else None
+        self._source = source
         self.overhead_w = float(overhead_w)
         self.efficiency = float(efficiency)
         self.sample_period_s = float(sample_period_s)
@@ -67,13 +66,7 @@ class PowerMeter:
 
     def instantaneous_power(self) -> float:
         """Wall power right now, in watts."""
-        single = self._single
-        if single is not None:
-            return (single() + self.overhead_w) / self.efficiency
-        device_w = 0.0
-        for src in self._sources:
-            device_w += src()
-        return (device_w + self.overhead_w) / self.efficiency
+        return (self._source() + self.overhead_w) / self.efficiency
 
     def accumulate(self, dt: float) -> None:
         """Integrate the current power over ``dt`` seconds.

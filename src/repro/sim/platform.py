@@ -65,7 +65,7 @@ class HeteroSystem:
         # Meter1: wall power of the desktop box (CPU side), paper Fig. 4.
         self.meter_cpu = PowerMeter(
             "meter1-cpu-box",
-            [self.cpu.instantaneous_power],
+            self.cpu.instantaneous_power,
             overhead_w=config.meter1_overhead_w,
             efficiency=config.meter1_efficiency,
             sample_period_s=config.meter_sample_period_s,
@@ -75,7 +75,7 @@ class HeteroSystem:
         self.meter_gpus = tuple(
             PowerMeter(
                 f"meter2-gpu{i or ''}-card",
-                [gpu.instantaneous_power],
+                gpu.instantaneous_power,
                 overhead_w=config.meter2_overhead_w,
                 efficiency=config.meter2_efficiency,
                 sample_period_s=config.meter_sample_period_s,
@@ -220,7 +220,7 @@ class HeteroSystem:
                 "nothing to simulate: no device work, no scheduled tasks, no horizon"
             )
         # Feed the meters from the devices' epoch-cached powers with the
-        # exact expression accumulate() would use for a single source.
+        # exact expression accumulate() would use.
         meter = self.meter_cpu
         meter.accumulate_from(
             (cpu.instantaneous_power() + meter.overhead_w) / meter.efficiency, dt

@@ -21,10 +21,9 @@ opaque correlation header.  Propagation channels:
 - **worker processes**: the :data:`TRACEPARENT_ENV` environment variable,
   set by :func:`repro.harness.worker.run_job_inline` in the child before
   the job target runs (the header travels as a ``worker_main`` argument,
-  so forked and inline execution agree);
-- **explicit kwargs**: service job targets receive ``traceparent=`` so
-  content-addressed cache keys (computed from the *request* kwargs)
-  stay pure.
+  so forked and inline execution agree).  Supervised and served jobs
+  both hand it over this way, never as a job kwarg, so content-addressed
+  cache keys (computed from the *request* kwargs) stay pure.
 
 Builtin ``hash()`` is per-process salted and must never feed an id;
 string parts are digested with SHA-256 (cached) instead.

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.fleet.sim import FleetResult
 
 FAST = ["--nodes", "6", "--nodes-per-rack", "3", "--duration", "36",
         "--interval", "12", "--seed", "13", "--budget-frac", "0.35"]
@@ -50,6 +51,41 @@ class TestFleetCommand:
         assert "--run-dir" in capsys.readouterr().err
 
 
+def _unencodable(method):
+    """``method`` with a value the JSON encoder rejects in its dict."""
+    def patched(self, *args, **kwargs):
+        return {**method(self, *args, **kwargs), "unencodable": object()}
+    return patched
+
+
+class TestAtomicOutputs:
+    """An encoding failure leaves an earlier output file whole."""
+
+    def test_out_survives_a_failed_encoding(self, capsys, tmp_path,
+                                            monkeypatch):
+        out_file = tmp_path / "fleet.json"
+        out_file.write_text("earlier")
+        monkeypatch.setattr(FleetResult, "summary",
+                            _unencodable(FleetResult.summary))
+        with pytest.raises(TypeError):
+            main(["fleet", *FAST, "--out", str(out_file)])
+        assert out_file.read_text() == "earlier"
+        assert [p.name for p in tmp_path.iterdir()] == ["fleet.json"]
+
+    def test_fleet_summary_survives_a_failed_encoding(self, capsys, tmp_path,
+                                                      monkeypatch):
+        tel = tmp_path / "tel"
+        tel.mkdir()
+        summary = tel / "fleet_summary.json"
+        summary.write_text("earlier")
+        monkeypatch.setattr(FleetResult, "to_dict",
+                            _unencodable(FleetResult.to_dict))
+        with pytest.raises(TypeError):
+            main(["fleet", *FAST, "--telemetry", str(tel)])
+        assert summary.read_text() == "earlier"
+        assert not list(tel.glob("*.tmp"))
+
+
 class TestFleetTelemetry:
     @pytest.fixture
     def telemetry_dir(self, capsys, tmp_path):
@@ -67,8 +103,9 @@ class TestFleetTelemetry:
                 "fleet_cap_violation_ticks_total"} <= counters
         assert {"run_total_energy_j", "run_time_s"} <= gauges
         assert {"fleet_node_energy_j", "fleet_node_busy_end_s"} <= histograms
-        summary = json.loads(
-            (telemetry_dir / "fleet_summary.json").read_text())
+        text = (telemetry_dir / "fleet_summary.json").read_text()
+        assert not text.endswith("\n")
+        summary = json.loads(text)
         assert summary["n_nodes"] == 6
         assert len(summary["per_rack"]) == 2
 

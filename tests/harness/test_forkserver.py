@@ -39,8 +39,7 @@ SIM = {"workload": "kmeans", "policy": "greengpu", "n_iterations": 1,
 POINT = {"workload": "kmeans", "r": 0.3, "n_iterations": 1,
          "time_scale": FAST}
 TARGET_KWARGS = {
-    JOB_TARGET: [SIM, {**SIM, "telemetry_dir": "{tmp}", "job_name": "job",
-                       "traceparent": TraceContext.root("t").to_traceparent()}],
+    JOB_TARGET: [SIM, {**SIM, "telemetry_dir": "{tmp}", "job_name": "job"}],
     **{f"{SUITE}:run_{name}": [{"time_scale": FAST}]
        for name in SUITE_ARTIFACTS},
     f"{SUITE}:run_sweep_point": [POINT, {**POINT, "telemetry_dir": "{tmp}"}],
@@ -73,7 +72,8 @@ def test_forked_worker_imports_no_repro_module(tmp_path, target, kwargs):
               else value for key, value in kwargs.items()}
     attempt = Attempt("imports", "repro.harness._testjobs:imports_of",
                       {"target": target, "kwargs": kwargs},
-                      str(tmp_path / "job.json"))
+                      str(tmp_path / "job.json"),
+                      traceparent=TraceContext.root("t").to_traceparent())
     while (outcome := attempt.poll()) is None:
         wait_any([attempt])
     assert outcome.kind == SUCCESS, outcome.error

@@ -48,8 +48,8 @@ class TestEnergyConservation:
     def test_meter_energy_independent_of_step_granularity(self, chunks):
         """Splitting the same interval into arbitrary chunks integrates
         to the same energy (power is constant while idle)."""
-        a = PowerMeter("a", [lambda: 123.0])
-        b = PowerMeter("b", [lambda: 123.0])
+        a = PowerMeter("a", lambda: 123.0)
+        b = PowerMeter("b", lambda: 123.0)
         total = sum(chunks)
         a.accumulate(total)
         for dt in chunks:

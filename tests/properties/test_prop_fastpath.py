@@ -18,6 +18,13 @@ from repro.runtime.executor import run_workload
 from repro.sim.activity import KernelActivity, PhaseDemand
 from repro.sim.platform import HeteroSystem, make_testbed
 
+#: Tier-1 runs 12 whole runs and 40 step sequences.  Any profile loaded
+#: with ``--hypothesis-profile`` (the nightly ``ci-long`` job) sets both
+#: counts instead: a hard-coded ``max_examples`` would override it.
+_PROFILED = settings.get_current_profile_name() != "default"
+RUN_EXAMPLES = settings.default.max_examples if _PROFILED else 12
+STEP_EXAMPLES = settings.default.max_examples if _PROFILED else 40
+
 
 def reference_stepping():
     """Context manager: route all HeteroSystem stepping through the oracle."""
@@ -67,7 +74,7 @@ class TestWholeRunBitIdentity:
         faults=st.sampled_from(["none", "light", "moderate"]),
         fault_seed=st.integers(0, 3),
     )
-    @settings(max_examples=12, deadline=None)
+    @settings(max_examples=RUN_EXAMPLES, deadline=None)
     def test_fast_and_reference_runs_identical(self, workload, policy, faults,
                                                fault_seed):
         fast = _run(workload, policy, 1, 0.05, faults, fault_seed)
@@ -142,7 +149,7 @@ class TestStepTrajectoryBitIdentity:
         # None: the one-card testbed; else a second, different card's levels.
         card1_levels=st.none() | st.tuples(st.integers(0, 5), st.integers(0, 5)),
     )
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=STEP_EXAMPLES, deadline=None)
     def test_dt_sequence_and_integrals_match(self, kernels, cpu_level,
                                              core_level, mem_level,
                                              tick_period, card1_levels):
